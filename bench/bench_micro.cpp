@@ -3,12 +3,12 @@
 /// Algorithm 1, clustering, full segmentation, NLP analysis, pattern
 /// matching, subtree mining, the end-to-end pipeline, plus throughput
 /// ablations of the design choices DESIGN.md calls out (banded cuts vs.
-/// straight cuts; semantic merging on/off; scalar vs. bit-parallel cut
-/// kernel; page-raster reuse on/off).
+/// straight cuts; semantic merging on/off; the bit-parallel cut kernel vs.
+/// the scalar reference DP in `tests/reference/`).
 ///
 /// `--segment_json=FILE` additionally writes a machine-readable summary of
-/// the DESIGN.md §11 optimization pairs (ns/op + speedup) for the perf
-/// trajectory; CI uploads it as the `BENCH_segment.json` artifact.
+/// the optimization pairs (ns/op + speedup) for the perf trajectory; CI
+/// uploads it as the `BENCH_segment.json` artifact.
 
 #include <benchmark/benchmark.h>
 
@@ -28,6 +28,7 @@
 #include "nlp/chunk_tree.hpp"
 #include "nlp/pattern.hpp"
 #include "obs/metrics.hpp"
+#include "reference/cuts_reference.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/sync.hpp"
@@ -71,10 +72,8 @@ const raster::OccupancyGrid& BenchGrid() {
 void BM_CutsScalar(benchmark::State& state) {
   const raster::OccupancyGrid& g = BenchGrid();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::BandedHorizontalCuts(g, 8, core::CutKernel::kScalar));
-    benchmark::DoNotOptimize(
-        core::BandedVerticalCuts(g, 8, core::CutKernel::kScalar));
+    benchmark::DoNotOptimize(reference::ScalarHorizontalCuts(g, 8));
+    benchmark::DoNotOptimize(reference::ScalarVerticalCuts(g, 8));
   }
 }
 BENCHMARK(BM_CutsScalar);
@@ -82,10 +81,8 @@ BENCHMARK(BM_CutsScalar);
 void BM_CutsBitParallel(benchmark::State& state) {
   const raster::OccupancyGrid& g = BenchGrid();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::BandedHorizontalCuts(g, 8, core::CutKernel::kBitParallel));
-    benchmark::DoNotOptimize(
-        core::BandedVerticalCuts(g, 8, core::CutKernel::kBitParallel));
+    benchmark::DoNotOptimize(core::BandedHorizontalCuts(g, 8));
+    benchmark::DoNotOptimize(core::BandedVerticalCuts(g, 8));
   }
 }
 BENCHMARK(BM_CutsBitParallel);
@@ -95,9 +92,9 @@ void BM_FindSeparatorRuns(benchmark::State& state) {
   std::vector<util::BBox> boxes;
   for (const auto& el : d.elements) boxes.push_back(el.bbox);
   util::BBox region{0, 0, d.width, d.height};
-  raster::GridScale scale{0.5};
+  raster::PageRaster page(boxes, raster::GridScale{0.5});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::FindSeparatorRuns(boxes, region, scale));
+    benchmark::DoNotOptimize(core::FindSeparatorRuns(boxes, region, page));
   }
 }
 BENCHMARK(BM_FindSeparatorRuns);
@@ -106,8 +103,8 @@ void BM_SelectDelimiters(benchmark::State& state) {
   const doc::Document& d = SampleObserved();
   std::vector<util::BBox> boxes;
   for (const auto& el : d.elements) boxes.push_back(el.bbox);
-  auto runs = core::FindSeparatorRuns(boxes, {0, 0, d.width, d.height},
-                                      raster::GridScale{0.5});
+  raster::PageRaster page(boxes, raster::GridScale{0.5});
+  auto runs = core::FindSeparatorRuns(boxes, {0, 0, d.width, d.height}, page);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::SelectDelimiters(runs));
   }
@@ -145,27 +142,6 @@ void BM_Segment_NoMerge(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Segment_NoMerge);
-
-void BM_Segment_RasterReuse(benchmark::State& state) {
-  const doc::Document& d = SampleObserved();
-  const auto& emb = datasets::PretrainedEmbedding();
-  core::SegmenterConfig config;  // reuse_page_raster defaults to true
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::Segment(d, emb, config));
-  }
-}
-BENCHMARK(BM_Segment_RasterReuse);
-
-void BM_Segment_NoRasterReuse(benchmark::State& state) {
-  const doc::Document& d = SampleObserved();
-  const auto& emb = datasets::PretrainedEmbedding();
-  core::SegmenterConfig config;
-  config.reuse_page_raster = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::Segment(d, emb, config));
-  }
-}
-BENCHMARK(BM_Segment_NoRasterReuse);
 
 void BM_SegmentXYCut(benchmark::State& state) {
   const doc::Document& d = SampleObserved();
@@ -509,57 +485,20 @@ double NsPerOp(Fn&& fn) {
   return best;
 }
 
-/// Times the DESIGN.md §11 optimization pairs and writes the machine-readable
-/// summary consumed by CI and the perf trajectory.
+/// Times the optimization pairs and writes the machine-readable summary
+/// consumed by CI and the perf trajectory.
 bool WriteSegmentJson(const std::string& path) {
-  const doc::Document& d = SampleObserved();
-  const auto& emb = datasets::PretrainedEmbedding();
   const raster::OccupancyGrid& g = BenchGrid();
 
+  // The production wavefront against the scalar reference DP (DESIGN.md §11).
   double cuts_scalar = NsPerOp([&] {
-    benchmark::DoNotOptimize(
-        core::BandedHorizontalCuts(g, 8, core::CutKernel::kScalar));
-    benchmark::DoNotOptimize(
-        core::BandedVerticalCuts(g, 8, core::CutKernel::kScalar));
+    benchmark::DoNotOptimize(reference::ScalarHorizontalCuts(g, 8));
+    benchmark::DoNotOptimize(reference::ScalarVerticalCuts(g, 8));
   });
   double cuts_bitp = NsPerOp([&] {
-    benchmark::DoNotOptimize(
-        core::BandedHorizontalCuts(g, 8, core::CutKernel::kBitParallel));
-    benchmark::DoNotOptimize(
-        core::BandedVerticalCuts(g, 8, core::CutKernel::kBitParallel));
+    benchmark::DoNotOptimize(core::BandedHorizontalCuts(g, 8));
+    benchmark::DoNotOptimize(core::BandedVerticalCuts(g, 8));
   });
-
-  core::SegmenterConfig baseline_cfg;
-  baseline_cfg.cut_kernel = core::CutKernel::kScalar;
-  baseline_cfg.reuse_page_raster = false;
-  core::SegmenterConfig optimized_cfg;  // production defaults
-  double seg_baseline = NsPerOp(
-      [&] { benchmark::DoNotOptimize(core::Segment(d, emb, baseline_cfg)); });
-  double seg_optimized = NsPerOp(
-      [&] { benchmark::DoNotOptimize(core::Segment(d, emb, optimized_cfg)); });
-  core::SegmenterConfig reuse_only_cfg;
-  reuse_only_cfg.cut_kernel = core::CutKernel::kScalar;
-  double seg_reuse_only = NsPerOp(
-      [&] { benchmark::DoNotOptimize(core::Segment(d, emb, reuse_only_cfg)); });
-
-  core::PipelineConfig base_pipeline =
-      core::DefaultConfigFor(doc::DatasetId::kD2EventPosters);
-  base_pipeline.segmenter.cut_kernel = core::CutKernel::kScalar;
-  base_pipeline.segmenter.reuse_page_raster = false;
-  core::Vs2 vs2_baseline(doc::DatasetId::kD2EventPosters, emb, base_pipeline);
-  core::Vs2 vs2_optimized(
-      doc::DatasetId::kD2EventPosters, emb,
-      core::DefaultConfigFor(doc::DatasetId::kD2EventPosters));
-  const doc::Document& clean = SamplePoster();
-  // The baseline side also pins the scalar SIMD level so the pair measures
-  // every layer of the optimization stack (cut kernel, raster reuse, SIMD
-  // dispatch); the optimized side runs whatever `kAuto` resolves to here.
-  util::simd::ForceLevel(util::simd::Level::kScalar);
-  double proc_baseline = NsPerOp(
-      [&] { benchmark::DoNotOptimize(vs2_baseline.Process(clean)); });
-  util::simd::ForceLevel(util::simd::Level::kAuto);
-  double proc_optimized = NsPerOp(
-      [&] { benchmark::DoNotOptimize(vs2_optimized.Process(clean)); });
 
   // Scalar/vector pairs for the dispatched kernels themselves.
   const std::vector<float> cos_a = RandomUnitVec(256, 7);
@@ -652,10 +591,6 @@ bool WriteSegmentJson(const std::string& path) {
       "  \"grid\": {\"width\": %d, \"height\": %d, \"occupancy\": %.4f},\n"
       "  \"cut_kernel\": {\"scalar_ns\": %.1f, \"bitparallel_ns\": %.1f, "
       "\"speedup\": %.2f},\n"
-      "  \"segment\": {\"baseline_ns\": %.1f, \"raster_reuse_only_ns\": %.1f, "
-      "\"optimized_ns\": %.1f, \"speedup\": %.2f},\n"
-      "  \"process\": {\"baseline_ns\": %.1f, \"optimized_ns\": %.1f, "
-      "\"speedup\": %.2f},\n"
       "  \"simd\": {\"level\": \"%s\",\n"
       "    \"cosine_f32\": {\"scalar_ns\": %.1f, \"simd_ns\": %.1f, "
       "\"speedup\": %.2f},\n"
@@ -668,9 +603,7 @@ bool WriteSegmentJson(const std::string& path) {
       "\"pair_checked_ns\": %.2f, \"checker_ratio\": %.2f}\n"
       "}\n",
       g.width(), g.height(), g.OccupancyRatio(), cuts_scalar, cuts_bitp,
-      cuts_scalar / cuts_bitp, seg_baseline, seg_reuse_only, seg_optimized,
-      seg_baseline / seg_optimized, proc_baseline, proc_optimized,
-      proc_baseline / proc_optimized,
+      cuts_scalar / cuts_bitp,
       util::simd::LevelName(util::simd::DetectedLevel()), cosine_scalar,
       cosine_simd, cosine_scalar / cosine_simd, drow_scalar, drow_simd,
       drow_scalar / drow_simd, obs_plain_ns, obs_windowed_ns,
@@ -679,12 +612,11 @@ bool WriteSegmentJson(const std::string& path) {
       pair_on_ns / pair_off_ns);
   std::fclose(f);
   std::fprintf(stderr,
-               "bench_micro: wrote %s (cut kernel %.2fx, segment %.2fx, "
-               "process %.2fx, %s cosine %.2fx, distance row %.2fx, "
+               "bench_micro: wrote %s (cut kernel %.2fx, "
+               "%s cosine %.2fx, distance row %.2fx, "
                "windowed record %.2fx plain, sync wrapper %.2fx raw, "
                "order checker %.2fx unchecked)\n",
                path.c_str(), cuts_scalar / cuts_bitp,
-               seg_baseline / seg_optimized, proc_baseline / proc_optimized,
                util::simd::LevelName(util::simd::DetectedLevel()),
                cosine_scalar / cosine_simd, drow_scalar / drow_simd,
                obs_windowed_ns / obs_plain_ns, sync_mutex_ns / std_mutex_ns,

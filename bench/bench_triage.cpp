@@ -143,8 +143,10 @@ void ClassifyCorpus(const std::vector<doc::Document>& docs,
 Result<std::vector<eval::LabeledPrediction>> RoutedPredictions(
     const core::Vs2& vs2, const triage::TriageConfig& config,
     const doc::Document& document) {
+  core::ProcessOptions options;
+  options.triage = config;
   VS2_ASSIGN_OR_RETURN(core::Vs2::DocResult result,
-                       vs2.ProcessWithTriage(document, config));
+                       vs2.Process(document, options));
   std::vector<eval::LabeledPrediction> out;
   for (const core::Extraction& ex : result.extractions) {
     out.push_back({ex.entity, ex.block_bbox, ex.text, ex.match_bbox});
@@ -155,9 +157,11 @@ Result<std::vector<eval::LabeledPrediction>> RoutedPredictions(
 /// Wall time of pushing `docs` through `vs2` with the given triage config.
 double TimedRun(const core::Vs2& vs2, const triage::TriageConfig& config,
                 const std::vector<doc::Document>& docs) {
+  core::ProcessOptions options;
+  options.triage = config;
   double t0 = NowMs();
   for (const doc::Document& d : docs) {
-    Result<core::Vs2::DocResult> r = vs2.ProcessWithTriage(d, config);
+    Result<core::Vs2::DocResult> r = vs2.Process(d, options);
     (void)r;
   }
   return NowMs() - t0;

@@ -34,7 +34,11 @@
 #include <string>
 #include <vector>
 
+#include "fleet/snapshot.hpp"
+
 using std::string;
+using vs2::fleet::JsonNumber;
+using vs2::fleet::JsonObject;
 
 namespace {
 
@@ -103,8 +107,9 @@ bool Query(int fd, string* buffer, const string& cmd, string* response) {
 }
 
 // ------------------------------------------------------ JSON scraping ----
-// Shape-pinned extraction (see the file comment): enough to pull numbers
-// and balanced sub-objects out of our own serializers' output.
+// Shape-pinned extraction (see the file comment): `fleet::JsonNumber` and
+// `fleet::JsonObject` pull numbers and balanced sub-objects out of our own
+// serializers' output; `RawValue` adds the raw text of any other value.
 
 /// Value text following `"key":` at or after `from`; empty when absent.
 string RawValue(const string& json, const string& key, size_t from = 0) {
@@ -112,27 +117,6 @@ string RawValue(const string& json, const string& key, size_t from = 0) {
   size_t at = json.find(needle, from);
   if (at == string::npos) return "";
   return json.substr(at + needle.size());
-}
-
-double Number(const string& json, const string& key, size_t from = 0) {
-  string raw = RawValue(json, key, from);
-  return raw.empty() ? 0.0 : std::atof(raw.c_str());
-}
-
-/// The balanced `{...}` object value of `key`; empty when absent.
-string Object(const string& json, const string& key, size_t from = 0) {
-  string needle = "\"" + key + "\":{";
-  size_t at = json.find(needle, from);
-  if (at == string::npos) return "";
-  size_t start = at + needle.size() - 1;
-  int depth = 0;
-  for (size_t i = start; i < json.size(); ++i) {
-    if (json[i] == '{') ++depth;
-    if (json[i] == '}' && --depth == 0) {
-      return json.substr(start, i - start + 1);
-    }
-  }
-  return "";
 }
 
 /// One rolling window of one windowed histogram as rendered by
@@ -143,18 +127,18 @@ struct Window {
 
 Window ParseWindow(const string& hist_json, const char* label) {
   Window window;
-  string object = Object(hist_json, label);
+  string object = JsonObject(hist_json, label);
   if (object.empty()) return window;
-  window.rate = Number(object, "rate_per_sec");
-  window.p50 = Number(object, "p50");
-  window.p95 = Number(object, "p95");
-  window.p99 = Number(object, "p99");
+  window.rate = JsonNumber(object, "rate_per_sec");
+  window.p50 = JsonNumber(object, "p50");
+  window.p95 = JsonNumber(object, "p95");
+  window.p99 = JsonNumber(object, "p99");
   return window;
 }
 
 double WindowCount(const string& counter_json, const char* label) {
-  string object = Object(counter_json, label);
-  return object.empty() ? 0.0 : Number(object, "count");
+  string object = JsonObject(counter_json, label);
+  return object.empty() ? 0.0 : JsonNumber(object, "count");
 }
 
 void PrintFrame(const string& stats, const string& health, const string& slow,
@@ -162,21 +146,22 @@ void PrintFrame(const string& stats, const string& health, const string& slow,
   const char* kLabels[3] = {"10s", "1m", "5m"};
 
   std::printf("vs2_top — %s    uptime %.1fs    connections %.0f    [%s]\n",
-              endpoint.c_str(), Number(health, "uptime_sec"),
-              Number(health, "connections"),
+              endpoint.c_str(), JsonNumber(health, "uptime_sec"),
+              JsonNumber(health, "connections"),
               RawValue(health, "status").rfind("\"ok\"", 0) == 0 ? "accepting"
                                                                  : "DRAINING");
   std::printf("queue %2.0f/%-3.0f  in-flight %2.0f  jobs %2.0f  "
               "completed %.0f  rejected %.0f\n\n",
-              Number(health, "queue_depth"), Number(health, "queue_capacity"),
-              Number(health, "in_flight"), Number(health, "jobs"),
-              Number(health, "completed"), Number(health, "rejected"));
+              JsonNumber(health, "queue_depth"),
+              JsonNumber(health, "queue_capacity"),
+              JsonNumber(health, "in_flight"), JsonNumber(health, "jobs"),
+              JsonNumber(health, "completed"), JsonNumber(health, "rejected"));
 
-  string windowed = Object(stats, "windowed_histograms");
-  string extract = Object(windowed, "serve.extract");
-  string counters = Object(stats, "windowed_counters");
-  string hits = Object(counters, "serve.cache_hits");
-  string misses = Object(counters, "serve.cache_misses");
+  string windowed = JsonObject(stats, "windowed_histograms");
+  string extract = JsonObject(windowed, "serve.extract");
+  string counters = JsonObject(stats, "windowed_counters");
+  string hits = JsonObject(counters, "serve.cache_hits");
+  string misses = JsonObject(counters, "serve.cache_misses");
 
   std::printf("  serve.extract %12s %10s %10s\n", kLabels[0], kLabels[1],
               kLabels[2]);
@@ -217,10 +202,10 @@ void PrintFrame(const string& stats, const string& health, const string& slow,
     status = status_end == string::npos ? "?"
                                         : status.substr(1, status_end - 1);
     std::printf("  %s…  %8.2f ms  %-18s ", trace.c_str(),
-                Number(slow, "total_ms", entry_at), status.c_str());
-    string stages = Object(slow, "stages", entry_at);
+                JsonNumber(slow, "total_ms", entry_at), status.c_str());
+    string stages = JsonObject(slow, "stages", entry_at);
     if (stages.empty()) {
-      // stages is an array; Object() only finds {...} — scan it manually.
+      // stages is an array; JsonObject() only finds {...} — scan it manually.
       string raw = RawValue(slow, "stages", entry_at);
       size_t end = raw.find(']');
       stages = end == string::npos ? "" : raw.substr(0, end + 1);
@@ -235,7 +220,7 @@ void PrintFrame(const string& stats, const string& health, const string& slow,
       if (name_end == string::npos) break;
       std::printf("%s%s %.1f", first ? "" : ", ",
                   stages.substr(name_start, name_end - name_start).c_str(),
-                  Number(stages, "ms", name_end));
+                  JsonNumber(stages, "ms", name_end));
       first = false;
       stage_at = name_end;
     }
@@ -252,26 +237,27 @@ void PrintFrame(const string& stats, const string& health, const string& slow,
 /// counter totals fold.
 void PrintFleetFrame(const string& stats, const string& health,
                      const string& slow, const string& endpoint) {
-  string fleet = Object(stats, "fleet");
+  string fleet = JsonObject(stats, "fleet");
   std::printf(
       "vs2_top — fleet %s    uptime %.1fs    shards %.0f/%.0f live    "
       "connections %.0f    [%s]\n",
-      endpoint.c_str(), Number(fleet, "uptime_sec"), Number(fleet, "live"),
-      Number(fleet, "shards"), Number(fleet, "connections"),
+      endpoint.c_str(), JsonNumber(fleet, "uptime_sec"),
+      JsonNumber(fleet, "live"),
+      JsonNumber(fleet, "shards"), JsonNumber(fleet, "connections"),
       RawValue(health, "status").rfind("\"ok\"", 0) == 0 ? "accepting"
                                                          : "DOWN");
-  string router = Object(fleet, "router");
+  string router = JsonObject(fleet, "router");
   std::printf(
       "router: forwarded %.0f  rerouted %.0f  shed %.0f  unavailable %.0f  "
       "markdowns %.0f  restarts %.0f\n",
-      Number(router, "forwarded"), Number(router, "rerouted"),
-      Number(router, "shed_to_sibling"), Number(router, "unavailable"),
-      Number(router, "markdowns"), Number(router, "restarts"));
-  string triage = Object(router, "triage");
+      JsonNumber(router, "forwarded"), JsonNumber(router, "rerouted"),
+      JsonNumber(router, "shed_to_sibling"), JsonNumber(router, "unavailable"),
+      JsonNumber(router, "markdowns"), JsonNumber(router, "restarts"));
+  string triage = JsonObject(router, "triage");
   if (!triage.empty()) {
-    double skip = Number(triage, "skip");
-    double fast = Number(triage, "fast");
-    double full = Number(triage, "full");
+    double skip = JsonNumber(triage, "skip");
+    double fast = JsonNumber(triage, "fast");
+    double full = JsonNumber(triage, "full");
     double total = skip + fast + full;
     std::printf(
         "triage: skip %.0f  fast %.0f  full %.0f  (%.0f%% off the full "
@@ -279,13 +265,13 @@ void PrintFleetFrame(const string& stats, const string& health,
         skip, fast, full,
         total > 0 ? 100.0 * (skip + fast) / total : 0.0);
   }
-  string totals = Object(fleet, "totals");
+  string totals = JsonObject(fleet, "totals");
   std::printf(
       "fleet:  %.1f req/s (10s)  hit rate %.2f  queue %.0f  in-flight %.0f  "
       "completed %.0f  rejected %.0f\n\n",
-      Number(totals, "req_per_sec_10s"), Number(totals, "hit_rate"),
-      Number(totals, "queue_depth"), Number(totals, "in_flight"),
-      Number(totals, "completed"), Number(totals, "rejected"));
+      JsonNumber(totals, "req_per_sec_10s"), JsonNumber(totals, "hit_rate"),
+      JsonNumber(totals, "queue_depth"), JsonNumber(totals, "in_flight"),
+      JsonNumber(totals, "completed"), JsonNumber(totals, "rejected"));
 
   std::printf(
       "  shard  state        queue  infl  req/s   hit    p50ms    p95ms    "
@@ -305,13 +291,14 @@ void PrintFleetFrame(const string& stats, const string& health,
                          : shard_endpoint.substr(1, ep_end - 1);
     std::printf(
         "  %5.0f  %-11s %6.0f %5.0f %6.1f  %4.2f %8.2f %8.2f %8.2f  %s\n",
-        Number(stats, "shard", entry_at), state.c_str(),
-        Number(stats, "queue_depth", entry_at),
-        Number(stats, "in_flight", entry_at),
-        Number(stats, "req_per_sec_10s", entry_at),
-        Number(stats, "hit_rate", entry_at),
-        Number(stats, "p50_ms", entry_at), Number(stats, "p95_ms", entry_at),
-        Number(stats, "p99_ms", entry_at), shard_endpoint.c_str());
+        JsonNumber(stats, "shard", entry_at), state.c_str(),
+        JsonNumber(stats, "queue_depth", entry_at),
+        JsonNumber(stats, "in_flight", entry_at),
+        JsonNumber(stats, "req_per_sec_10s", entry_at),
+        JsonNumber(stats, "hit_rate", entry_at),
+        JsonNumber(stats, "p50_ms", entry_at),
+        JsonNumber(stats, "p95_ms", entry_at),
+        JsonNumber(stats, "p99_ms", entry_at), shard_endpoint.c_str());
     ++shown;
     at = entry_at + 1;
   }
@@ -326,7 +313,7 @@ void PrintFleetFrame(const string& stats, const string& health,
     string trace = RawValue(slow, "trace_id", entry_at);
     trace = trace.size() > 1 ? trace.substr(1, 12) : "?";
     std::printf("  %s…  %8.2f ms\n", trace.c_str(),
-                Number(slow, "total_ms", entry_at));
+                JsonNumber(slow, "total_ms", entry_at));
     ++slow_shown;
     slow_at = entry_at + 1;
   }

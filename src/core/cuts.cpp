@@ -20,77 +20,6 @@ namespace {
 // narrow enough that a path cannot climb around a text line.
 constexpr int kMaxDriftBand = 8;
 
-// ----------------------------------------------------------------- scalar --
-
-// cut[y] is true when a path of valid 1-hop horizontal movements runs from
-// column 0 to column w-1 staying within `drift` rows of y. One banded DP
-// restart per origin: the reference the wavefront kernel is pinned against.
-std::vector<bool> ScalarHorizontalCuts(const raster::OccupancyGrid& grid,
-                                       int drift) {
-  int w = grid.width();
-  int h = grid.height();
-  int band = 2 * drift + 1;
-  std::vector<bool> cuts(static_cast<size_t>(h), false);
-  std::vector<uint8_t> cur(static_cast<size_t>(band));
-  std::vector<uint8_t> next(static_cast<size_t>(band));
-  for (int y0 = 0; y0 < h; ++y0) {
-    if (!grid.IsWhitespace(0, y0)) continue;
-    std::fill(cur.begin(), cur.end(), 0);
-    cur[static_cast<size_t>(drift)] = 1;  // start at drift 0
-    bool alive = true;
-    for (int x = 1; x < w && alive; ++x) {
-      alive = false;
-      for (int d = 0; d < band; ++d) {
-        bool ok = false;
-        int y = y0 + d - drift;
-        if (grid.IsWhitespace(x, y)) {
-          ok = cur[static_cast<size_t>(d)] != 0;
-          if (!ok && d > 0) ok = cur[static_cast<size_t>(d - 1)] != 0;
-          if (!ok && d + 1 < band) ok = cur[static_cast<size_t>(d + 1)] != 0;
-        }
-        next[static_cast<size_t>(d)] = ok ? 1 : 0;
-        alive = alive || ok;
-      }
-      std::swap(cur, next);
-    }
-    cuts[static_cast<size_t>(y0)] = alive;
-  }
-  return cuts;
-}
-
-std::vector<bool> ScalarVerticalCuts(const raster::OccupancyGrid& grid,
-                                     int drift) {
-  int w = grid.width();
-  int h = grid.height();
-  int band = 2 * drift + 1;
-  std::vector<bool> cuts(static_cast<size_t>(w), false);
-  std::vector<uint8_t> cur(static_cast<size_t>(band));
-  std::vector<uint8_t> next(static_cast<size_t>(band));
-  for (int x0 = 0; x0 < w; ++x0) {
-    if (!grid.IsWhitespace(x0, 0)) continue;
-    std::fill(cur.begin(), cur.end(), 0);
-    cur[static_cast<size_t>(drift)] = 1;
-    bool alive = true;
-    for (int y = 1; y < h && alive; ++y) {
-      alive = false;
-      for (int d = 0; d < band; ++d) {
-        bool ok = false;
-        int x = x0 + d - drift;
-        if (grid.IsWhitespace(x, y)) {
-          ok = cur[static_cast<size_t>(d)] != 0;
-          if (!ok && d > 0) ok = cur[static_cast<size_t>(d - 1)] != 0;
-          if (!ok && d + 1 < band) ok = cur[static_cast<size_t>(d + 1)] != 0;
-        }
-        next[static_cast<size_t>(d)] = ok ? 1 : 0;
-        alive = alive || ok;
-      }
-      std::swap(cur, next);
-    }
-    cuts[static_cast<size_t>(x0)] = alive;
-  }
-  return cuts;
-}
-
 // ------------------------------------------------------------- wavefront --
 
 /// 64 whitespace bits of a packed step starting at signed bit offset
@@ -121,7 +50,8 @@ inline uint64_t WsWindow(const uint64_t* step, size_t n_words, long start) {
 ///   cur'[d] = (cur[d-1] | cur[d] | cur[d+1]) & ws_window(step, base+d−drift)
 ///
 /// Lanes never mix (no shifts between state words), so each origin's DP is
-/// exactly the scalar recurrence, evaluated 64 lanes per operation.
+/// exactly the scalar banded DP (one restart per origin, the reference the
+/// tests pin this against), evaluated 64 lanes per operation.
 std::vector<bool> WavefrontCuts(const uint64_t* bits, size_t words_per_step,
                                 int n_origins, int n_steps, int drift) {
   int band = 2 * drift + 1;
@@ -158,11 +88,25 @@ std::vector<bool> WavefrontCuts(const uint64_t* bits, size_t words_per_step,
   return cuts;
 }
 
+// The analysis area in layout units: the content bounds plus one cell of
+// padding, clipped to `region`. Page margins are whitespace freeways that
+// would let drifting cut paths climb around any thin content line, making
+// every coordinate a "cut" and merging all separator runs into one.
+util::BBox ContentRegion(const std::vector<util::BBox>& element_boxes,
+                         const util::BBox& region,
+                         const raster::GridScale& scale) {
+  if (region.Empty() || element_boxes.empty()) return util::BBox{};
+  util::BBox content = util::UnionAll(element_boxes);
+  double pad = scale.ToUnits(1);
+  return util::Intersect(region, util::BBox{content.x - pad, content.y - pad,
+                                            content.width + 2 * pad,
+                                            content.height + 2 * pad});
+}
+
 }  // namespace
 
 std::vector<bool> BandedHorizontalCuts(const raster::OccupancyGrid& grid,
-                                       int drift, CutKernel kernel) {
-  if (kernel == CutKernel::kScalar) return ScalarHorizontalCuts(grid, drift);
+                                       int drift) {
   // Origins are rows, the sweep runs over columns: the column-major packing
   // (bits along y, one packed column per step) is exactly the layout the
   // wavefront consumes.
@@ -171,71 +115,57 @@ std::vector<bool> BandedHorizontalCuts(const raster::OccupancyGrid& grid,
 }
 
 std::vector<bool> BandedVerticalCuts(const raster::OccupancyGrid& grid,
-                                     int drift, CutKernel kernel) {
-  if (kernel == CutKernel::kScalar) return ScalarVerticalCuts(grid, drift);
+                                     int drift) {
   // Origins are columns, the sweep runs over rows: row-major packing.
   return WavefrontCuts(grid.ws_rows(), grid.words_per_row(), grid.width(),
                        grid.height(), drift);
 }
 
-std::vector<bool> ValidHorizontalCuts(const raster::OccupancyGrid& grid,
-                                      CutKernel kernel) {
-  return BandedHorizontalCuts(grid, kMaxDriftBand, kernel);
+std::vector<bool> ValidHorizontalCuts(const raster::OccupancyGrid& grid) {
+  return BandedHorizontalCuts(grid, kMaxDriftBand);
 }
 
-std::vector<bool> ValidVerticalCuts(const raster::OccupancyGrid& grid,
-                                    CutKernel kernel) {
-  return BandedVerticalCuts(grid, kMaxDriftBand, kernel);
+std::vector<bool> ValidVerticalCuts(const raster::OccupancyGrid& grid) {
+  return BandedVerticalCuts(grid, kMaxDriftBand);
+}
+
+raster::CellRect AnalysisWindow(const std::vector<util::BBox>& element_boxes,
+                                const util::BBox& region,
+                                const raster::GridScale& scale) {
+  return raster::BoxToCellRect(ContentRegion(element_boxes, region, scale),
+                               scale);
+}
+
+int CutDrift(const std::vector<util::BBox>& element_boxes,
+             const raster::GridScale& scale) {
+  std::vector<double> heights;
+  heights.reserve(element_boxes.size());
+  for (const util::BBox& b : element_boxes) heights.push_back(b.height);
+  std::nth_element(heights.begin(), heights.begin() + heights.size() / 2,
+                   heights.end());
+  // Wide enough to route around noise blobs, but capped so a path cannot
+  // climb around a typical text line through the page margin — which would
+  // turn every row into a "cut" and merge all separator runs.
+  return std::clamp(scale.ToCellsFloor(heights[heights.size() / 2] * 0.6), 2,
+                    kMaxDriftBand);
 }
 
 std::vector<SeparatorRun> FindSeparatorRuns(
     const std::vector<util::BBox>& element_boxes, const util::BBox& full_region,
-    const raster::GridScale& scale, const CutOptions& options) {
+    const raster::PageRaster& page, const std::vector<size_t>* element_ids) {
   std::vector<SeparatorRun> runs;
-  if (full_region.Empty() || element_boxes.empty()) return runs;
-
-  // Trim the analysis window to the content bounds (plus one cell of
-  // padding): page margins are whitespace freeways that would let drifting
-  // cut paths climb around any thin content line, making every coordinate
-  // a "cut" and merging all separator runs into one.
-  util::BBox content = util::UnionAll(element_boxes);
-  double pad = scale.ToUnits(1);
-  util::BBox region = util::Intersect(
-      full_region, util::BBox{content.x - pad, content.y - pad,
-                              content.width + 2 * pad,
-                              content.height + 2 * pad});
+  const raster::GridScale& scale = page.scale();
+  const util::BBox region = ContentRegion(element_boxes, full_region, scale);
   if (region.Empty()) return runs;
+  // Snapped to the absolute page lattice: the crop places every box by the
+  // same integer cell arithmetic at every recursion depth.
+  const raster::CellRect window = raster::BoxToCellRect(region, scale);
+  raster::OccupancyGrid grid = page.Crop(window, element_ids);
 
-  // Snap the window to the absolute page lattice. Every box is placed by
-  // the same integer cell arithmetic whether rasterized fresh here or
-  // cropped from a PageRaster, so the two paths are bit-identical.
-  raster::CellRect window;
-  window.x0 = scale.ToCellsFloor(region.x);
-  window.y0 = scale.ToCellsFloor(region.y);
-  window.x1 = std::max(scale.ToCellsCeil(region.right()) - 1, window.x0);
-  window.y1 = std::max(scale.ToCellsCeil(region.bottom()) - 1, window.y0);
-
-  raster::OccupancyGrid grid = [&] {
-    if (options.page && options.element_ids) {
-      return options.page->Crop(window, options.element_ids);
-    }
-    raster::OccupancyGrid fresh(window.width(), window.height());
-    for (const util::BBox& b : element_boxes) {
-      raster::CellRect r = raster::BoxToCellRect(b, scale);
-      raster::CellRect clipped = raster::IntersectCells(r, window);
-      if (clipped.Empty()) continue;
-      fresh.FillCellRect(raster::CellRect{
-          clipped.x0 - window.x0, clipped.y0 - window.y0,
-          clipped.x1 - window.x0, clipped.y1 - window.y0});
-    }
-    return fresh;
-  }();
-
-  // Audit checkpoint (DESIGN.md §12): both cut kernels trust the packed
+  // Audit checkpoint (DESIGN.md §12): the cut kernel trusts the packed
   // whitespace bitsets blindly (no per-word edge masks), so in audit mode
-  // every grid entering the kernels is validated for packing agreement and
-  // the zero-tail invariant — whichever path built it (fresh rasterization
-  // or PageRaster::Crop).
+  // every cropped grid is validated for packing agreement and the zero-tail
+  // invariant before it enters the kernel.
   if (check::AuditsEnabled()) {
     check::AuditReport grid_audit = check::AuditOccupancyGrid(grid);
     if (!grid_audit.ok()) {
@@ -246,20 +176,10 @@ std::vector<SeparatorRun> FindSeparatorRuns(
   }
 
   double max_elem_height = 1.0;
-  std::vector<double> heights;
-  heights.reserve(element_boxes.size());
   for (const util::BBox& b : element_boxes) {
     max_elem_height = std::max(max_elem_height, b.height);
-    heights.push_back(b.height);
   }
-  std::sort(heights.begin(), heights.end());
-  double median_height = heights[heights.size() / 2];
-
-  // Drift wide enough to route around noise blobs, but capped so a path
-  // cannot climb around a typical text line through the page margin —
-  // which would turn every row into a "cut" and merge all separator runs.
-  int drift = std::clamp(scale.ToCellsFloor(median_height * 0.6), 2,
-                         kMaxDriftBand);
+  const int drift = CutDrift(element_boxes, scale);
 
   // Straight (drift-free) cuts: a row/column is straight-cut when every
   // cell along it is whitespace. Banded cuts decide run *existence*
@@ -350,10 +270,8 @@ std::vector<SeparatorRun> FindSeparatorRuns(
     }
   };
 
-  emit_runs(BandedHorizontalCuts(grid, drift, options.kernel),
-            /*horizontal=*/true);
-  emit_runs(BandedVerticalCuts(grid, drift, options.kernel),
-            /*horizontal=*/false);
+  emit_runs(BandedHorizontalCuts(grid, drift), /*horizontal=*/true);
+  emit_runs(BandedVerticalCuts(grid, drift), /*horizontal=*/false);
 
   // Topological order (top-to-bottom, left-to-right) as Algorithm 1 expects.
   std::sort(runs.begin(), runs.end(),

@@ -9,14 +9,11 @@
 /// transpose. Runs of consecutive valid cuts form candidate visual
 /// separators which Algorithm 1 then filters.
 ///
-/// Two kernels compute the same reachability (DESIGN.md §11):
-///  * `kScalar` — the reference: one banded DP restart per origin,
-///    O(h·w·band) byte operations;
-///  * `kBitParallel` — the production kernel: 64 origins packed per
-///    `uint64_t`, one wavefront sweep over the grid propagating all origins
-///    simultaneously with word-wide OR/AND/shift operations against the
-///    grid's packed whitespace words.
-/// Their outputs are bit-for-bit identical (pinned by differential tests).
+/// Reachability is computed by a bit-parallel wavefront (DESIGN.md §11):
+/// 64 origins packed per `uint64_t`, one sweep over the grid propagating all
+/// origins simultaneously with word-wide OR/AND/shift operations against the
+/// grid's packed whitespace words. The tests pin it bit-for-bit against a
+/// scalar banded DP kept under `tests/reference/`.
 
 #include <vector>
 
@@ -26,35 +23,22 @@
 
 namespace vs2::core {
 
-/// Cut-kernel selection; the scalar banded DP stays as the reference
-/// implementation the bit-parallel wavefront is differential-tested against.
-enum class CutKernel {
-  kBitParallel,
-  kScalar,
-};
-
 /// \brief Per-row flags: `cut[y]` is true when a horizontal cut originates
 /// from (0, y) — computed by backward reachability with ±1 drift per hop.
-std::vector<bool> ValidHorizontalCuts(
-    const raster::OccupancyGrid& grid,
-    CutKernel kernel = CutKernel::kBitParallel);
+std::vector<bool> ValidHorizontalCuts(const raster::OccupancyGrid& grid);
 
 /// Per-column flags for vertical cuts.
-std::vector<bool> ValidVerticalCuts(
-    const raster::OccupancyGrid& grid,
-    CutKernel kernel = CutKernel::kBitParallel);
+std::vector<bool> ValidVerticalCuts(const raster::OccupancyGrid& grid);
 
 /// \brief cut[y] is true when a path of valid 1-hop horizontal movements
 /// runs from column 0 to column w-1 staying within `drift` rows of y.
 /// Exposed (with explicit drift) for the differential tests and benches.
-std::vector<bool> BandedHorizontalCuts(
-    const raster::OccupancyGrid& grid, int drift,
-    CutKernel kernel = CutKernel::kBitParallel);
+std::vector<bool> BandedHorizontalCuts(const raster::OccupancyGrid& grid,
+                                       int drift);
 
 /// The transpose of `BandedHorizontalCuts`.
-std::vector<bool> BandedVerticalCuts(
-    const raster::OccupancyGrid& grid, int drift,
-    CutKernel kernel = CutKernel::kBitParallel);
+std::vector<bool> BandedVerticalCuts(const raster::OccupancyGrid& grid,
+                                     int drift);
 
 /// \brief A maximal run of consecutive valid cuts: the candidate separator
 /// V_s of Fig. 5b, with the measurements Algorithm 1 consumes.
@@ -70,33 +54,35 @@ struct SeparatorRun {
   double scaled_width = 0.0;
 };
 
-/// \brief Options for `FindSeparatorRuns`.
-///
-/// When `page` is set (with `element_ids` naming the elements of the area,
-/// as indices into the raster), the analysis grid is *cropped* from the
-/// once-per-document page rasterization instead of re-rasterizing the boxes
-/// — bit-identical by construction, since both paths place cells with the
-/// same integer lattice arithmetic.
-struct CutOptions {
-  CutKernel kernel = CutKernel::kBitParallel;
-  const raster::PageRaster* page = nullptr;    ///< must match `scale`
-  const std::vector<size_t>* element_ids = nullptr;
-};
+/// \brief The cell window `FindSeparatorRuns` analyses: the content bounds
+/// of `element_boxes` plus one cell of padding, clipped to `region` and
+/// snapped to the absolute page lattice. Empty when nothing is left.
+/// Exposed for the differential tests.
+raster::CellRect AnalysisWindow(const std::vector<util::BBox>& element_boxes,
+                                const util::BBox& region,
+                                const raster::GridScale& scale);
 
-/// \brief Finds separator runs (both directions) inside `region` given the
-/// element boxes of the area being segmented.
+/// \brief The drift band (cells) `FindSeparatorRuns` allows for these
+/// elements: 0.6 median element heights, clamped to [2, 8]. Exposed for the
+/// differential tests.
+int CutDrift(const std::vector<util::BBox>& element_boxes,
+             const raster::GridScale& scale);
+
+/// \brief Finds separator runs (both directions) inside `region` for the
+/// elements `element_ids` of `page` (all of them when null); `element_boxes`
+/// holds those elements' boxes.
 ///
-/// The analysis window (content bounds plus one cell of padding, clipped to
-/// `region`) is snapped to the absolute page lattice, so the same cell
-/// geometry is produced whether the grid is rasterized fresh or cropped
-/// from a `PageRaster`.
+/// The grid of the `AnalysisWindow` is cropped from the once-per-document
+/// page rasterization, so every recursion depth reuses the same lattice
+/// placement of each box instead of re-rasterizing it.
 ///
 /// Runs touching the region border are trimmed to interior separators only
 /// (margins do not separate content). Runs narrower than one grid cell in
 /// units are dropped.
 std::vector<SeparatorRun> FindSeparatorRuns(
     const std::vector<util::BBox>& element_boxes, const util::BBox& region,
-    const raster::GridScale& scale, const CutOptions& options = {});
+    const raster::PageRaster& page,
+    const std::vector<size_t>* element_ids = nullptr);
 
 }  // namespace vs2::core
 

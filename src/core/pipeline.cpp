@@ -29,36 +29,8 @@ Vs2::Vs2(doc::DatasetId dataset, const embed::Embedding& embedding,
   }
 }
 
-Result<doc::LayoutTree> Vs2::SegmentOnly(const doc::Document& observed) const {
-  VS2_ASSIGN_OR_RETURN(doc::LayoutTree tree,
-                       Segment(observed, embedding_, config_.segmenter));
-  if (check::AuditsEnabled()) {
-    check::LayoutTreeAuditOptions audit_options;
-    audit_options.max_depth = config_.segmenter.max_depth + 1;
-    VS2_RETURN_IF_ERROR(check::AuditLayoutTree(tree, observed, audit_options)
-                            .ToStatus("vs2.segment.layout_tree"));
-  }
-  return tree;
-}
-
-Result<Vs2::DocResult> Vs2::Process(const doc::Document& doc) const {
-  return ProcessRouted(doc, StageCheckpoint(), config_.triage);
-}
-
 Result<Vs2::DocResult> Vs2::Process(const doc::Document& doc,
-                                    const StageCheckpoint& checkpoint) const {
-  return ProcessRouted(doc, checkpoint, config_.triage);
-}
-
-Result<Vs2::DocResult> Vs2::ProcessWithTriage(
-    const doc::Document& doc, const triage::TriageConfig& triage,
-    const StageCheckpoint& checkpoint) const {
-  return ProcessRouted(doc, checkpoint, triage);
-}
-
-Result<Vs2::DocResult> Vs2::ProcessRouted(
-    const doc::Document& doc, const StageCheckpoint& checkpoint,
-    const triage::TriageConfig& triage) const {
+                                    const ProcessOptions& options) const {
   // Stage latencies always feed the registry (a clock read per stage); the
   // same spans land in the trace only when tracing is on. The whole-pipeline
   // span additionally feeds the rolling-window view behind `{"cmd":"stats"}`.
@@ -73,6 +45,9 @@ Result<Vs2::DocResult> Vs2::ProcessRouted(
   documents.Add(1);
   documents_windowed.Add(1);
 
+  const triage::TriageConfig& triage =
+      options.triage ? *options.triage : config_.triage;
+  const StageCheckpoint& checkpoint = options.checkpoint;
   DocResult result;
   const bool triage_on = triage.mode != triage::TriageMode::kOff;
   if (triage_on) {

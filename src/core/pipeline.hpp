@@ -6,6 +6,7 @@
 /// → VS2-Select, with every ablation toggle of Table 9 exposed.
 
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "core/pattern_learner.hpp"
@@ -33,6 +34,24 @@ struct PipelineConfig {
   triage::TriageConfig triage;
 };
 
+/// Consulted between pipeline stages when processing under a deadline or
+/// cancellation scope; a non-OK return aborts the remaining stages and
+/// becomes the result of `Vs2::Process`. Must be cheap — it runs four times
+/// per document.
+using StageCheckpoint = std::function<Status()>;
+
+/// Per-call options of `Vs2::Process`. The defaults give the plain run.
+struct ProcessOptions {
+  /// Called before each stage. With a null or always-OK checkpoint the
+  /// result is bit-identical to the default run — the serving layer's
+  /// deadline enforcement relies on that equivalence.
+  StageCheckpoint checkpoint;
+  /// Routes per this config instead of `config().triage`: the A/B switch
+  /// benches and tests use to compare lanes on one `Vs2` (one
+  /// pattern-learning pass) instead of constructing a pipeline per mode.
+  std::optional<triage::TriageConfig> triage;
+};
+
 /// \brief The assembled VS2 system for one dataset/IE task. Construction
 /// learns the pattern book from the (isolated, text-only) holdout corpus —
 /// the distant-supervision step. Thereafter `Process` handles any number
@@ -43,7 +62,7 @@ struct PipelineConfig {
 /// `Embedding` must itself stay unmodified (it is immutable after training).
 /// All const member functions are safe to call concurrently from any number
 /// of threads with no external locking — `BatchEngine` relies on exactly
-/// this contract. Audited 2026-08: `Process`, `SegmentOnly`, `Segment`,
+/// this contract. Audited 2026-08 and again 2026-10: `Process`, `Segment`,
 /// `SelectInterestPoints` and `SelectEntities` touch only per-call locals,
 /// const members, and const function-local statics (gazetteer tables, the
 /// `nlp::Lexicon` singleton), and every stochastic step draws from a local
@@ -65,33 +84,10 @@ class Vs2 {
   };
 
   /// Runs the full pipeline on one document. Reentrant: depends only on
-  /// `doc` and state frozen at construction, so concurrent calls (and
-  /// repeated calls on the same document) give bit-identical results.
-  Result<DocResult> Process(const doc::Document& doc) const;
-
-  /// Consulted between pipeline stages when processing under a deadline or
-  /// cancellation scope; a non-OK return aborts the remaining stages and
-  /// becomes the result of `Process`. Must be cheap — it runs four times
-  /// per document.
-  using StageCheckpoint = std::function<Status()>;
-
-  /// As `Process(doc)`, additionally calling `checkpoint` before each
-  /// stage. With a null or always-OK checkpoint the result is bit-identical
-  /// to `Process(doc)` — the serving layer's deadline enforcement relies on
-  /// that equivalence.
+  /// `doc`, `options` and state frozen at construction, so concurrent calls
+  /// (and repeated calls on the same document) give bit-identical results.
   Result<DocResult> Process(const doc::Document& doc,
-                            const StageCheckpoint& checkpoint) const;
-
-  /// As `Process`, but routing per `triage` instead of `config().triage` —
-  /// the A/B entry point. Benches compare lanes on one `Vs2` instance (one
-  /// pattern-learning pass) instead of constructing a pipeline per mode.
-  Result<DocResult> ProcessWithTriage(const doc::Document& doc,
-                                      const triage::TriageConfig& triage,
-                                      const StageCheckpoint& checkpoint =
-                                          StageCheckpoint()) const;
-
-  /// Segmentation only (phase 1), on the observed document.
-  Result<doc::LayoutTree> SegmentOnly(const doc::Document& observed) const;
+                            const ProcessOptions& options = {}) const;
 
   const PatternBook& pattern_book() const { return book_; }
   const std::vector<datasets::EntitySpec>& entity_specs() const {
@@ -101,10 +97,6 @@ class Vs2 {
   doc::DatasetId dataset() const { return dataset_; }
 
  private:
-  Result<DocResult> ProcessRouted(const doc::Document& doc,
-                                  const StageCheckpoint& checkpoint,
-                                  const triage::TriageConfig& triage) const;
-
   doc::DatasetId dataset_;
   const embed::Embedding& embedding_;
   PipelineConfig config_;

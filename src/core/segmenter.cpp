@@ -595,7 +595,7 @@ bool SemanticMergePass(const Document& doc, LayoutTree* tree, size_t parent,
 void SegmentRecursive(const Document& doc, LayoutTree* tree, size_t node_id,
                       const embed::Embedding& embedding,
                       const SegmenterConfig& config,
-                      const raster::PageRaster* page,
+                      const raster::PageRaster& page,
                       NodeEmbedCache* embed_cache, util::Arena* arena) {
   const doc::LayoutNode& node = tree->node(node_id);
   if (node.depth >= config.max_depth) return;
@@ -657,13 +657,7 @@ void SegmentRecursive(const Document& doc, LayoutTree* tree, size_t node_id,
     std::vector<util::BBox> boxes;
     boxes.reserve(indices.size());
     for (size_t i : indices) boxes.push_back(doc.elements[i].bbox);
-    CutOptions cut_options;
-    cut_options.kernel = config.cut_kernel;
-    if (page) {
-      cut_options.page = page;
-      cut_options.element_ids = &indices;
-    }
-    runs = FindSeparatorRuns(boxes, region, config.grid_scale, cut_options);
+    runs = FindSeparatorRuns(boxes, region, page, &indices);
     delimiters = SelectDelimiters(runs, config.delimiter);
     static obs::Counter& cuts_enumerated =
         obs::Metrics::GetCounter("segment.cuts_enumerated");
@@ -731,21 +725,17 @@ Result<doc::LayoutTree> Segment(const Document& doc,
   if (!doc.elements.empty()) {
     // Snap every element box to the page lattice exactly once; the
     // recursion crops per-node sub-grids from this rasterization.
-    raster::PageRaster page;
-    if (config.reuse_page_raster) {
-      std::vector<util::BBox> boxes;
-      boxes.reserve(doc.elements.size());
-      for (const doc::AtomicElement& el : doc.elements) {
-        boxes.push_back(el.bbox);
-      }
-      page = raster::PageRaster(boxes, config.grid_scale);
+    std::vector<util::BBox> boxes;
+    boxes.reserve(doc.elements.size());
+    for (const doc::AtomicElement& el : doc.elements) {
+      boxes.push_back(el.bbox);
     }
+    const raster::PageRaster page(boxes, config.grid_scale);
     NodeEmbedCache embed_cache;
     // One arena per call: clustering scratch (distance matrices) is rewound
     // between steps and its chunks are reused across the whole recursion.
     util::Arena arena;
-    SegmentRecursive(doc, &tree, tree.root(), embedding, config,
-                     config.reuse_page_raster ? &page : nullptr,
+    SegmentRecursive(doc, &tree, tree.root(), embedding, config, page,
                      &embed_cache, &arena);
   }
   VS2_RETURN_IF_ERROR(tree.Validate(doc));

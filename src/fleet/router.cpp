@@ -50,23 +50,19 @@ Status Router::Start() {
   if (shards_.empty()) {
     return Status::InvalidArgument("router needs at least one worker shard");
   }
-  if (options_.manage_workers) {
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      Status launched = shards_[i]->worker.Launch();
-      if (!launched.ok()) {
-        Stop();
-        return launched;
-      }
+  for (auto& shard : shards_) {
+    Status launched = shard->worker.Launch();
+    if (!launched.ok()) {
+      Stop();
+      return launched;
     }
   }
-  if (options_.wait_healthy) {
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      Status healthy =
-          shards_[i]->worker.WaitHealthy(options_.worker_start_timeout_sec);
-      if (!healthy.ok()) {
-        Stop();
-        return healthy;
-      }
+  for (auto& shard : shards_) {
+    Status healthy =
+        shard->worker.WaitHealthy(options_.worker_start_timeout_sec);
+    if (!healthy.ok()) {
+      Stop();
+      return healthy;
     }
   }
   health_running_.store(true);
@@ -88,11 +84,9 @@ void Router::Stop() {
     health_cv_.NotifyAll();
   }
   if (health_thread_.joinable()) health_thread_.join();
-  if (options_.manage_workers) {
-    for (auto& shard : shards_) {
-      if (shard->worker.spawned() && shard->worker.pid() > 0) {
-        shard->worker.Terminate(options_.terminate_grace_sec);
-      }
+  for (auto& shard : shards_) {
+    if (shard->worker.spawned() && shard->worker.pid() > 0) {
+      shard->worker.Terminate(options_.terminate_grace_sec);
     }
   }
   {
@@ -226,7 +220,7 @@ std::string Router::RouteDocument(const std::string& line,
   }
   uint64_t key = serve::ContentAddress(*parsed);
 
-  if (options_.triage_stats) {
+  {
     // Router-side triage accounting (DESIGN.md §16): classify the document
     // the content-address step already parsed — a coarse-grid feature pass,
     // microseconds next to the upstream round trip — so `{"cmd":"stats"}`

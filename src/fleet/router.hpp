@@ -72,11 +72,9 @@ struct RouterOptions {
   size_t virtual_nodes = 64;
 
   // ---- lifecycle ----
-  /// Launch spawned workers in `Start` and SIGTERM them in `Stop`.
-  bool manage_workers = true;
-  /// Block `Start` until every worker answers `{"cmd":"health"}` ok.
-  /// Covers worker startup cost (pattern learning takes seconds).
-  bool wait_healthy = true;
+  /// How long `Start` waits for every worker to answer
+  /// `{"cmd":"health"}` ok. Covers worker startup cost (pattern learning
+  /// takes seconds).
   double worker_start_timeout_sec = 180.0;
   /// SIGTERM-to-SIGKILL grace on terminate; the worker drains in-flight
   /// requests during it.
@@ -105,13 +103,9 @@ struct RouterOptions {
   double restart_drain_timeout_sec = 10.0;
 
   // ---- triage ----
-  /// Classify every routed document (microseconds on the document the
-  /// router already parsed for content addressing) and count the lanes in
-  /// `{"cmd":"stats"}` — the fleet-wide traffic-mix view, independent of
-  /// which workers actually triage. Routing itself is unaffected.
-  bool triage_stats = true;
-  /// Thresholds for the router-side classification (mode is ignored; the
-  /// router always applies the auto rule).
+  /// Thresholds for the router-side classification that counts lanes in
+  /// `{"cmd":"stats"}` (mode is ignored; the router always applies the
+  /// auto rule).
   triage::TriageConfig triage;
 };
 
@@ -121,14 +115,13 @@ class Router : public serve::LineServer {
   Router(std::vector<WorkerSpec> workers, RouterOptions options);
   ~Router() override;
 
-  /// Launches spawned workers (when `manage_workers`), waits for health
-  /// (when `wait_healthy`), starts the health prober, then opens the
-  /// listener. On failure everything already started is torn down.
+  /// Launches spawned workers, waits for every worker's health, starts the
+  /// health prober, then opens the listener. On failure everything already
+  /// started is torn down.
   Status Start() override;
 
   /// Closes the listener and client connections, stops the health prober,
-  /// and SIGTERM-drains spawned workers (when `manage_workers`).
-  /// Idempotent.
+  /// and SIGTERM-drains spawned workers. Idempotent.
   void Stop() override;
 
   /// Draining restart of one shard (see file comment). Blocks until the

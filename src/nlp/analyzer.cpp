@@ -186,9 +186,10 @@ void TagTime(std::vector<Token>* tokens) {
       if (digits.find('/') != std::string::npos) {
         timeish = true;  // 04/12/2019
       }
-      if (util::IsAllDigits(digits) && digits.size() == 4) {
-        int year = std::stoi(digits);
-        if (year >= 1900 && year <= 2100) timeish = true;
+      int year = 0;
+      if (digits.size() == 4 && util::ParseDigits(digits, &year) &&
+          year >= 1900 && year <= 2100) {
+        timeish = true;
       }
       // "April 5" / "5 April" / ordinal after month (fuzzy months too)
       if (i > 0 && (lex.IsMonth(ts[i - 1].lower) || FuzzyMonth(ts[i - 1].lower)))

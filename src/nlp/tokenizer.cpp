@@ -138,18 +138,16 @@ bool LooksLikeClockTime(const std::string& token) {
   }
   if (t.empty()) return false;
   size_t colon = t.find(':');
+  int h = 0;
   if (colon == std::string::npos) {
-    if (!util::IsAllDigits(t)) return false;
-    int h = std::stoi(t);
-    return h >= 1 && h <= 12;  // bare "7pm" style only with suffix
+    // bare "7pm" style only with suffix
+    return util::ParseDigits(t, &h) && h >= 1 && h <= 12;
   }
-  std::string hh = t.substr(0, colon);
-  std::string mm = t.substr(colon + 1);
-  if (!util::IsAllDigits(hh) || !util::IsAllDigits(mm) || mm.size() != 2)
-    return false;
-  int h = std::stoi(hh);
-  int m = std::stoi(mm);
-  return h >= 0 && h <= 23 && m >= 0 && m <= 59;
+  std::string_view view(t);
+  std::string_view mm = view.substr(colon + 1);
+  int m = 0;
+  return mm.size() == 2 && util::ParseDigits(view.substr(0, colon), &h) &&
+         util::ParseDigits(mm, &m) && h <= 23 && m <= 59;
 }
 
 bool LooksLikeZipCode(const std::string& token) {

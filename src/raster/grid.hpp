@@ -149,18 +149,15 @@ OccupancyGrid RasterizeBoxes(const std::vector<util::BBox>& boxes,
 /// Snaps every element box to the absolute page lattice exactly once; the
 /// segmenter then derives the grid of any visual area by *cropping* — an
 /// integer window intersect plus word-masked fills — instead of re-clipping
-/// and re-scaling every box at every recursion depth. Because both this path
-/// and the fresh-rasterization path place cells via the same integer lattice
-/// arithmetic, the grids (and therefore the cuts and the layout tree) are
-/// bit-identical.
+/// and re-scaling every box at every recursion depth. Cells are placed by
+/// the same integer lattice arithmetic as a fresh rasterization of the
+/// area, so the cropped grid is bit-identical to it (pinned by
+/// tests/cuts_kernel_test.cpp).
 class PageRaster {
  public:
-  PageRaster() = default;
   PageRaster(const std::vector<util::BBox>& boxes, const GridScale& scale);
 
   const GridScale& scale() const { return scale_; }
-  size_t size() const { return rects_.size(); }
-  const CellRect& cell_rect(size_t i) const { return rects_[i]; }
 
   /// Occupancy grid of `window` (absolute lattice cells) containing exactly
   /// the elements listed in `ids` (all elements when null), clipped to the

@@ -249,9 +249,9 @@ ExtractionService::Response ExtractionService::RunAdmitted(
     instruments.cache_evictions.Add(cache_->evictions() - evictions_before);
   }
 
-  core::Vs2::StageCheckpoint checkpoint;
+  core::ProcessOptions process_options;
   if (std::isfinite(deadline)) {
-    checkpoint = [this, deadline]() -> Status {
+    process_options.checkpoint = [this, deadline]() -> Status {
       if (Now() > deadline) {
         return Status::DeadlineExceeded(
             "deadline expired between pipeline stages");
@@ -259,7 +259,7 @@ ExtractionService::Response ExtractionService::RunAdmitted(
       return Status::OK();
     };
   }
-  Response response = pipeline_.Process(document, checkpoint);
+  Response response = pipeline_.Process(document, process_options);
 
   if (response.status().code() == StatusCode::kDeadlineExceeded) {
     sync::MutexLock lock(&mu_);

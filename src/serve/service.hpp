@@ -13,7 +13,8 @@
 ///  * **Deadlines** — each request can carry a deadline. It is enforced
 ///    when a worker dequeues the request (an overloaded queue never burns
 ///    pipeline time on an already-dead request) and again between pipeline
-///    stages via `Vs2::StageCheckpoint`, yielding `kDeadlineExceeded`.
+///    stages via `core::ProcessOptions::checkpoint`, yielding
+///    `kDeadlineExceeded`.
 ///  * **Result caching** — a content-addressed LRU cache (`ResultCache`)
 ///    keyed by the FNV-1a hash of the canonical document JSON. Cached and
 ///    recomputed responses are bit-identical because the pipeline is

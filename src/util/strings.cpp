@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -86,6 +87,13 @@ bool IsAllDigits(std::string_view text) {
     if (!std::isdigit(static_cast<unsigned char>(c))) return false;
   }
   return true;
+}
+
+bool ParseDigits(std::string_view text, int* value) {
+  if (!IsAllDigits(text)) return false;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, *value);
+  return ec == std::errc() && ptr == end;
 }
 
 bool IsCapitalized(std::string_view text) {

@@ -39,6 +39,11 @@ bool EndsWith(std::string_view text, std::string_view suffix);
 /// True if every character is an ASCII digit (and text non-empty).
 bool IsAllDigits(std::string_view text);
 
+/// Parses an all-digit `text` into `*value`. False when `text` is empty,
+/// holds a non-digit, or overflows `int`: a ten-digit phone number is a
+/// non-number here, not an exception.
+bool ParseDigits(std::string_view text, int* value);
+
 /// True if the first character is an ASCII uppercase letter.
 bool IsCapitalized(std::string_view text);
 

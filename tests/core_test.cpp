@@ -64,6 +64,13 @@ TEST(CutsTest, TallContentBlocksCut) {
   EXPECT_TRUE(vcuts[5]);
 }
 
+/// `FindSeparatorRuns` over all of `boxes`, rasterized once into a page.
+std::vector<SeparatorRun> RunsOnPage(const std::vector<util::BBox>& boxes,
+                                     const util::BBox& region,
+                                     const raster::GridScale& scale) {
+  return FindSeparatorRuns(boxes, region, raster::PageRaster(boxes, scale));
+}
+
 TEST(SeparatorRunsTest, FindsGapBetweenTwoParagraphs) {
   std::vector<util::BBox> boxes;
   // Two bands of boxes separated by a 30-unit gap.
@@ -71,8 +78,7 @@ TEST(SeparatorRunsTest, FindsGapBetweenTwoParagraphs) {
     boxes.push_back({10.0 + i * 35, 10, 30, 12});
     boxes.push_back({10.0 + i * 35, 80, 30, 12});
   }
-  auto runs = FindSeparatorRuns(boxes, {0, 0, 200, 110},
-                                raster::GridScale{0.5});
+  auto runs = RunsOnPage(boxes, {0, 0, 200, 110}, raster::GridScale{0.5});
   bool horizontal_gap = false;
   for (const SeparatorRun& r : runs) {
     if (r.horizontal && r.mid_units > 25 && r.mid_units < 80 &&
@@ -85,8 +91,7 @@ TEST(SeparatorRunsTest, FindsGapBetweenTwoParagraphs) {
 
 TEST(SeparatorRunsTest, BorderMarginsAreTrimmed) {
   std::vector<util::BBox> boxes = {{50, 50, 100, 12}};
-  auto runs = FindSeparatorRuns(boxes, {0, 0, 200, 112},
-                                raster::GridScale{0.5});
+  auto runs = RunsOnPage(boxes, {0, 0, 200, 112}, raster::GridScale{0.5});
   // The single line splits the page into top and bottom margins; both
   // touch the region border and must not be reported.
   for (const SeparatorRun& r : runs) {
@@ -98,19 +103,17 @@ TEST(SeparatorRunsTest, BorderMarginsAreTrimmed) {
 }
 
 TEST(SeparatorRunsTest, EmptyInputsYieldNoRuns) {
-  EXPECT_TRUE(FindSeparatorRuns({}, {0, 0, 100, 100},
-                                raster::GridScale{0.5})
+  EXPECT_TRUE(RunsOnPage({}, {0, 0, 100, 100}, raster::GridScale{0.5})
                   .empty());
-  EXPECT_TRUE(FindSeparatorRuns({{1, 1, 2, 2}}, {},
-                                raster::GridScale{0.5})
+  EXPECT_TRUE(RunsOnPage({{1, 1, 2, 2}}, {}, raster::GridScale{0.5})
                   .empty());
 }
 
 TEST(SeparatorRunsTest, SingleElementYieldsNoRuns) {
   // One box: every whitespace band is a margin flush against the
   // content-trimmed region edge; nothing separates content.
-  auto runs = FindSeparatorRuns({{50, 50, 100, 12}}, {0, 0, 200, 112},
-                                raster::GridScale{0.5});
+  auto runs = RunsOnPage({{50, 50, 100, 12}}, {0, 0, 200, 112},
+                         raster::GridScale{0.5});
   EXPECT_TRUE(runs.empty());
 }
 
@@ -119,8 +122,8 @@ TEST(SeparatorRunsTest, DegenerateContentFullSpanRunIsDropped) {
   // trimmed grid is a cut and the single run spans the whole region. A
   // full-span run separates nothing; it must be dropped (it touches both
   // edges), not reported or mis-trimmed.
-  auto runs = FindSeparatorRuns({{50, 50, 0, 0}}, {0, 0, 200, 200},
-                                raster::GridScale{0.5});
+  auto runs = RunsOnPage({{50, 50, 0, 0}}, {0, 0, 200, 200},
+                         raster::GridScale{0.5});
   EXPECT_TRUE(runs.empty());
 }
 
@@ -129,8 +132,7 @@ TEST(SeparatorRunsTest, RunFlushAgainstTrimmedEdgeIsDropped) {
   // whitespace trailing the content — flush against the content-trimmed
   // region edge — is a margin and must not be reported.
   std::vector<util::BBox> boxes = {{10, 10, 50, 20}, {100, 10, 50, 20}};
-  auto runs = FindSeparatorRuns(boxes, {0, 0, 300, 200},
-                                raster::GridScale{0.5});
+  auto runs = RunsOnPage(boxes, {0, 0, 300, 200}, raster::GridScale{0.5});
   bool interior_vertical = false;
   for (const SeparatorRun& r : runs) {
     if (r.horizontal) {
@@ -158,7 +160,7 @@ TEST(SeparatorRunsTest, RotatedGapUsesDiscountedWidth) {
     boxes.push_back({x, 100.0 + 5.0 * i, 50, 80.0});  // bottom band
   }
   raster::GridScale scale{0.2};
-  auto runs = FindSeparatorRuns(boxes, {0, 0, 300, 210}, scale);
+  auto runs = RunsOnPage(boxes, {0, 0, 300, 210}, scale);
   const SeparatorRun* gap = nullptr;
   for (const SeparatorRun& r : runs) {
     if (r.horizontal && r.mid_units > 60.0 && r.mid_units < 150.0) gap = &r;

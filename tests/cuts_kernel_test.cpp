@@ -1,11 +1,13 @@
 /// Differential tests for the bit-parallel wavefront cut kernel and the
-/// page-raster reuse path (DESIGN.md §11): the production configuration
-/// (kBitParallel + reuse_page_raster) must be *bit-for-bit* identical to
-/// the scalar reference at every level — raw cut vectors, separator runs,
-/// and whole layout trees.
+/// page-raster crop (DESIGN.md §11): the production cut path must be
+/// *bit-for-bit* identical to the references in `reference/` at every level
+/// — raw cut vectors, cropped grids and separator runs, down to every node
+/// of the layout trees of real dataset samples.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/cuts.hpp"
@@ -13,6 +15,7 @@
 #include "datasets/generator.hpp"
 #include "datasets/pretrained.hpp"
 #include "ocr/ocr.hpp"
+#include "reference/cuts_reference.hpp"
 #include "util/rng.hpp"
 
 namespace vs2::core {
@@ -22,11 +25,11 @@ namespace {
 
 void ExpectKernelsAgree(const raster::OccupancyGrid& g, int drift,
                         const std::string& label) {
-  EXPECT_EQ(BandedHorizontalCuts(g, drift, CutKernel::kScalar),
-            BandedHorizontalCuts(g, drift, CutKernel::kBitParallel))
+  EXPECT_EQ(reference::ScalarHorizontalCuts(g, drift),
+            BandedHorizontalCuts(g, drift))
       << label << " horizontal, drift " << drift;
-  EXPECT_EQ(BandedVerticalCuts(g, drift, CutKernel::kScalar),
-            BandedVerticalCuts(g, drift, CutKernel::kBitParallel))
+  EXPECT_EQ(reference::ScalarVerticalCuts(g, drift),
+            BandedVerticalCuts(g, drift))
       << label << " vertical, drift " << drift;
 }
 
@@ -123,6 +126,40 @@ void ExpectRunsIdentical(const std::vector<SeparatorRun>& a,
   }
 }
 
+bool SameGrid(const raster::OccupancyGrid& a, const raster::OccupancyGrid& b) {
+  if (a.width() != b.width() || a.height() != b.height()) return false;
+  size_t row_words = a.words_per_row() * static_cast<size_t>(a.height());
+  size_t col_words = a.words_per_col() * static_cast<size_t>(a.width());
+  return std::equal(a.ws_rows(), a.ws_rows() + row_words, b.ws_rows()) &&
+         std::equal(a.ws_cols(), a.ws_cols() + col_words, b.ws_cols());
+}
+
+/// Pins the production cut path on one visual area — the elements `ids` of
+/// `page`, with boxes `boxes`, inside `region` — against the references:
+///  * the grid cropped from the page raster equals a fresh rasterization of
+///    the same window from the area's boxes;
+///  * the wavefront cuts on that grid equal the scalar banded DP at the
+///    drift `FindSeparatorRuns` uses;
+///  * runs cropped from the full page equal runs from a page raster built
+///    from the area's boxes alone.
+void ExpectAreaMatchesReference(const raster::PageRaster& page,
+                                const std::vector<size_t>& ids,
+                                const std::vector<util::BBox>& boxes,
+                                const util::BBox& region,
+                                const std::string& label) {
+  const raster::GridScale& scale = page.scale();
+  raster::CellRect window = AnalysisWindow(boxes, region, scale);
+  if (window.Empty()) return;
+  raster::OccupancyGrid cropped = page.Crop(window, &ids);
+  EXPECT_TRUE(
+      SameGrid(cropped, reference::RasterizeWindow(boxes, window, scale)))
+      << label;
+  ExpectKernelsAgree(cropped, CutDrift(boxes, scale), label);
+  ExpectRunsIdentical(FindSeparatorRuns(boxes, region, page, &ids),
+                      FindSeparatorRuns(boxes, region,
+                                        raster::PageRaster(boxes, scale)));
+}
+
 TEST(CutKernelDifferentialTest, SeparatorRunsBitIdenticalAcrossPaths) {
   util::Rng rng(0xD1FF);
   raster::GridScale scale{0.5};
@@ -130,57 +167,28 @@ TEST(CutKernelDifferentialTest, SeparatorRunsBitIdenticalAcrossPaths) {
     util::BBox region{0, 0, 320, 240};
     auto boxes = RandomBoxes(&rng, rng.UniformInt(2, 24), region.width,
                              region.height);
-
-    CutOptions scalar_opts;
-    scalar_opts.kernel = CutKernel::kScalar;
-    auto reference = FindSeparatorRuns(boxes, region, scale, scalar_opts);
-
-    // Bit-parallel kernel, fresh rasterization.
-    auto bitparallel = FindSeparatorRuns(boxes, region, scale);
-    ExpectRunsIdentical(reference, bitparallel);
-
-    // Bit-parallel kernel, grid cropped from the page raster.
     raster::PageRaster page(boxes, scale);
     std::vector<size_t> ids(boxes.size());
     for (size_t i = 0; i < ids.size(); ++i) ids[i] = i;
-    CutOptions crop_opts;
-    crop_opts.page = &page;
-    crop_opts.element_ids = &ids;
-    auto cropped = FindSeparatorRuns(boxes, region, scale, crop_opts);
-    ExpectRunsIdentical(reference, cropped);
+    ExpectAreaMatchesReference(page, ids, boxes, region,
+                               "trial " + std::to_string(trial));
 
     // A subset of elements must crop to the subset's own grid, not the
-    // page's: compare against a fresh run over just that subset.
+    // page's.
     std::vector<size_t> subset;
     for (size_t i = 0; i < boxes.size(); i += 2) subset.push_back(i);
     std::vector<util::BBox> subset_boxes;
     for (size_t i : subset) subset_boxes.push_back(boxes[i]);
-    CutOptions subset_opts;
-    subset_opts.page = &page;
-    subset_opts.element_ids = &subset;
-    ExpectRunsIdentical(
-        FindSeparatorRuns(subset_boxes, region, scale, scalar_opts),
-        FindSeparatorRuns(subset_boxes, region, scale, subset_opts));
+    ExpectAreaMatchesReference(page, subset, subset_boxes, region,
+                               "subset trial " + std::to_string(trial));
   }
 }
 
 // ----------------------------------------------------------- layout trees --
 
-void ExpectTreesIdentical(const doc::LayoutTree& a, const doc::LayoutTree& b,
-                          const std::string& label) {
-  ASSERT_EQ(a.size(), b.size()) << label;
-  for (size_t id = 0; id < a.size(); ++id) {
-    const doc::LayoutNode& na = a.node(id);
-    const doc::LayoutNode& nb = b.node(id);
-    EXPECT_EQ(na.bbox, nb.bbox) << label << " node " << id;
-    EXPECT_EQ(na.element_indices, nb.element_indices) << label << " node " << id;
-    EXPECT_EQ(na.parent, nb.parent) << label << " node " << id;
-    EXPECT_EQ(na.children, nb.children) << label << " node " << id;
-    EXPECT_EQ(na.depth, nb.depth) << label << " node " << id;
-  }
-}
-
 TEST(CutKernelDifferentialTest, LayoutTreesIdenticalOnDatasetSamples) {
+  // Every node of the production layout trees of D1–D3 samples is a visual
+  // area the segmenter may cut; each one must match the references.
   const embed::Embedding& emb = datasets::PretrainedEmbedding();
   datasets::GeneratorConfig gc;
   gc.num_documents = 2;
@@ -194,31 +202,31 @@ TEST(CutKernelDifferentialTest, LayoutTreesIdenticalOnDatasetSamples) {
   samples.push_back({"D2", datasets::GenerateD2(gc)});
   samples.push_back({"D3", datasets::GenerateD3(gc)});
 
+  SegmenterConfig config;
   for (const Sample& sample : samples) {
     for (const doc::Document& clean : sample.corpus.documents) {
       doc::Document observed = ocr::Transcribe(clean, {});
+      auto tree = Segment(observed, emb, config);
+      ASSERT_TRUE(tree.ok()) << sample.name;
 
-      SegmenterConfig reference;
-      reference.cut_kernel = CutKernel::kScalar;
-      reference.reuse_page_raster = false;
-      auto ref_tree = Segment(observed, emb, reference);
-      ASSERT_TRUE(ref_tree.ok()) << sample.name;
-
-      // Every optimized configuration against the scalar/no-reuse reference.
-      for (auto [kernel, reuse] :
-           std::vector<std::pair<CutKernel, bool>>{
-               {CutKernel::kBitParallel, false},
-               {CutKernel::kScalar, true},
-               {CutKernel::kBitParallel, true}}) {
-        SegmenterConfig config;
-        config.cut_kernel = kernel;
-        config.reuse_page_raster = reuse;
-        auto tree = Segment(observed, emb, config);
-        ASSERT_TRUE(tree.ok()) << sample.name;
-        ExpectTreesIdentical(
-            ref_tree.value(), tree.value(),
-            sample.name + (kernel == CutKernel::kScalar ? "/scalar" : "/bitp") +
-                (reuse ? "+reuse" : ""));
+      std::vector<util::BBox> page_boxes;
+      for (const doc::AtomicElement& el : observed.elements) {
+        page_boxes.push_back(el.bbox);
+      }
+      raster::PageRaster page(page_boxes, config.grid_scale);
+      for (size_t id = 0; id < tree->size(); ++id) {
+        const doc::LayoutNode& node = tree->node(id);
+        std::vector<util::BBox> boxes;
+        for (size_t i : node.element_indices) {
+          boxes.push_back(observed.elements[i].bbox);
+        }
+        util::BBox region = id == tree->root()
+                                ? util::BBox{0, 0, observed.width,
+                                             observed.height}
+                                : node.bbox;
+        ExpectAreaMatchesReference(
+            page, node.element_indices, boxes, region,
+            sample.name + " node " + std::to_string(id));
       }
     }
   }

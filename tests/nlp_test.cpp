@@ -21,6 +21,11 @@ struct StemCase {
   const char* stem;
 };
 
+// Print a case by its word, so the test names gtest reports (and the ones
+// CTest derives from them) are the same on every run rather than the raw
+// bytes of two pointers.
+void PrintTo(const StemCase& c, std::ostream* os) { *os << c.word; }
+
 class PorterStemTest : public ::testing::TestWithParam<StemCase> {};
 
 TEST_P(PorterStemTest, StemsKnownWord) {
@@ -118,6 +123,10 @@ TEST(TokenizerShapeTest, ClockTimes) {
   EXPECT_FALSE(LooksLikeClockTime("25:00"));
   EXPECT_FALSE(LooksLikeClockTime("7:3"));
   EXPECT_FALSE(LooksLikeClockTime("word"));
+  // Digit runs too long for an int are not times, and must not throw.
+  EXPECT_FALSE(LooksLikeClockTime("2983555274"));
+  EXPECT_FALSE(LooksLikeClockTime("99999999999:30"));
+  EXPECT_FALSE(LooksLikeClockTime("99999999999pm"));
 }
 
 TEST(TokenizerShapeTest, ZipCodes) {
@@ -206,6 +215,13 @@ TEST(AnalyzerTest, TimexTagsFullDatePhrase) {
   size_t timex = 0;
   for (const Token& tok : t.tokens) timex += tok.is_timex ? 1 : 0;
   EXPECT_GE(timex, 6u);  // everything including the glue
+}
+
+TEST(AnalyzerTest, PhoneNumberDigitRunIsNotATime) {
+  // A phone number that lost its dashes: ten digits overflow an int hour.
+  AnalyzedText t = Analyze("Call 2983555274 today");
+  ASSERT_EQ(t.tokens.size(), 3u);
+  EXPECT_FALSE(t.tokens[1].is_timex);
 }
 
 TEST(AnalyzerTest, TimexFuzzyMonthSurvivesOcr) {

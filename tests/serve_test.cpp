@@ -383,9 +383,10 @@ TEST(StageCheckpointTest, ProcessAbortsBetweenStages) {
   doc::Corpus corpus = SmallD2Corpus(1, 916);
   const doc::Document& doc = corpus.documents[0];
 
-  // An always-OK checkpoint is bit-identical to the plain overload.
+  // An always-OK checkpoint is bit-identical to the plain run.
   int calls = 0;
-  auto counting = [&calls]() {
+  core::ProcessOptions counting;
+  counting.checkpoint = [&calls]() {
     ++calls;
     return Status::OK();
   };
@@ -398,7 +399,8 @@ TEST(StageCheckpointTest, ProcessAbortsBetweenStages) {
 
   // Tripping the checkpoint mid-pipeline aborts with its status.
   int remaining = 2;  // survive OCR + segment, die before interest points
-  auto tripping = [&remaining]() {
+  core::ProcessOptions tripping;
+  tripping.checkpoint = [&remaining]() {
     if (remaining-- <= 0) {
       return Status::DeadlineExceeded("deadline expired between stages");
     }

@@ -303,13 +303,13 @@ TEST(TriagePipelineTest, ForceFullIsBitIdenticalToTriageOff) {
   core::PipelineConfig config =
       core::DefaultConfigFor(doc::DatasetId::kD2EventPosters);
   core::Vs2 vs2(doc::DatasetId::kD2EventPosters, emb, config);
-  TriageConfig full;
-  full.mode = TriageMode::kForceFull;
+  core::ProcessOptions full;
+  full.triage.emplace().mode = TriageMode::kForceFull;
 
   for (const doc::Document& d :
        SmallCorpus(doc::DatasetId::kD2EventPosters, 3, 42).documents) {
     auto off = vs2.Process(d);          // triage off: the seed path
-    auto forced = vs2.ProcessWithTriage(d, full);
+    auto forced = vs2.Process(d, full);
     ASSERT_TRUE(off.ok());
     ASSERT_TRUE(forced.ok());
     EXPECT_EQ(off->tree.size(), forced->tree.size());
@@ -326,11 +326,11 @@ TEST(TriagePipelineTest, SkipLaneReturnsRootOnlyTree) {
       core::DefaultConfigFor(doc::DatasetId::kD2EventPosters);
   config.simulate_ocr = false;  // observed == input, element counts compare
   core::Vs2 vs2(doc::DatasetId::kD2EventPosters, emb, config);
-  TriageConfig skip;
-  skip.mode = TriageMode::kForceSkip;
+  core::ProcessOptions skip;
+  skip.triage.emplace().mode = TriageMode::kForceSkip;
 
   doc::Corpus corpus = SmallCorpus(doc::DatasetId::kD2EventPosters, 1, 5);
-  auto r = vs2.ProcessWithTriage(corpus.documents[0], skip);
+  auto r = vs2.Process(corpus.documents[0], skip);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->tree.size(), 1u);  // root only
   EXPECT_TRUE(r->extractions.empty());
