@@ -299,6 +299,11 @@ PatternBook LearnPatterns(const datasets::HoldoutCorpus& holdout,
     }
     book.entities.push_back(std::move(learned));
   }
+  for (LearnedEntityPatterns& learned : book.entities) {
+    for (const SyntacticPattern& pattern : learned.patterns) {
+      learned.prepared.push_back(nlp::PrepareDescriptor(pattern));
+    }
+  }
   return book;
 }
 

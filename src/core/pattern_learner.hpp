@@ -29,6 +29,10 @@ namespace vs2::core {
 struct LearnedEntityPatterns {
   std::string entity;
   std::vector<nlp::SyntacticPattern> patterns;
+  /// `nlp::PrepareDescriptor(patterns[i])`, parallel to `patterns`:
+  /// compiled once by `LearnPatterns` so a search never re-tokenizes a
+  /// descriptor.
+  std::vector<nlp::PreparedDescriptor> prepared;
   std::vector<mining::MinedPattern> mined;  ///< supporting subtrees
 };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "check/check.hpp"
 #include "nlp/analyzer.hpp"
 #include "nlp/lesk.hpp"
 #include "nlp/stemmer.hpp"
@@ -105,14 +106,14 @@ double MultimodalDistance(const Document& doc, const util::BBox& s_bbox,
          w.nu * delta_wd;
 }
 
-/// Affinity of a block to an entity: fraction of hint stems present in the
-/// block text.
+/// Affinity of a block to an entity: fraction of the entity's hint stems
+/// (`PorterStem(ToLower(hint))`, one per hint word) present in the block
+/// text.
 double HintAffinity(const BlockContext& ctx,
-                    const datasets::EntitySpec& spec) {
-  if (spec.hint_words.empty()) return 0.0;
+                    const std::vector<std::string>& hint_stems) {
+  if (hint_stems.empty()) return 0.0;
   double hits = 0.0;
-  for (const std::string& hint : spec.hint_words) {
-    std::string hint_stem = nlp::PorterStem(util::ToLower(hint));
+  for (const std::string& hint_stem : hint_stems) {
     for (const nlp::Token& tok : ctx.analyzed.tokens) {
       if (tok.stem == hint_stem) {
         hits += 1.0;
@@ -120,7 +121,7 @@ double HintAffinity(const BlockContext& ctx,
       }
     }
   }
-  return hits / static_cast<double>(spec.hint_words.size());
+  return hits / static_cast<double>(hint_stems.size());
 }
 
 /// For D1 field-descriptor matches, the extracted value is the token run
@@ -243,16 +244,12 @@ std::vector<Extraction> SelectEntities(
     if (learned == nullptr || learned->patterns.empty()) continue;
     VS2_TRACE_SPAN_ARG("select.search_entity", learned->patterns.size());
 
-    // Pre-tokenized descriptors, parallel to `learned->patterns`; an empty
-    // `want` marks a pattern the generic matcher handles. Prepared once
-    // per entity instead of once per (entity, block).
-    std::vector<nlp::PreparedDescriptor> prepared;
-    if (config.descriptor_index) {
-      prepared.reserve(learned->patterns.size());
-      for (const nlp::SyntacticPattern& pattern : learned->patterns) {
-        prepared.push_back(nlp::PrepareDescriptor(pattern));
-      }
-    }
+    // Pre-tokenized descriptors, parallel to `learned->patterns` and
+    // compiled with the book; an empty `want` marks a pattern the generic
+    // matcher handles.
+    const std::vector<nlp::PreparedDescriptor>& prepared = learned->prepared;
+    VS2_CHECK(prepared.size() == learned->patterns.size())
+        << spec.name << ": book not compiled by LearnPatterns";
 
     std::vector<Candidate> candidates;
     for (size_t bi = 0; bi < blocks.size(); ++bi) {
@@ -304,6 +301,11 @@ std::vector<Extraction> SelectEntities(
         break;
       }
       case DisambiguationMode::kMultimodal: {
+        std::vector<std::string> hint_stems;
+        hint_stems.reserve(spec.hint_words.size());
+        for (const std::string& hint : spec.hint_words) {
+          hint_stems.push_back(nlp::PorterStem(util::ToLower(hint)));
+        }
         std::vector<double> fs;
         fs.reserve(candidates.size());
         std::vector<float> s_vec;  // reused across the candidate loop
@@ -338,7 +340,7 @@ std::vector<Extraction> SelectEntities(
           const BlockContext& blk = blocks[cand.block_index];
           ec.ranked[ci].score =
               fs[ci] -
-              config.affinity_weight * HintAffinity(blk, spec) -
+              config.affinity_weight * HintAffinity(blk, hint_stems) -
               config.pattern_weight * cand.match.score;
         }
         std::sort(ec.ranked.begin(), ec.ranked.end(),

@@ -18,32 +18,13 @@ bool IsPunct(const std::string& t) {
   return true;
 }
 
-bool LooksLikePhone(const std::string& t) {
-  int digits = 0;
-  for (char c : t) {
-    if (std::isdigit(static_cast<unsigned char>(c))) ++digits;
-    else if (c != '-' && c != '.' && c != '(' && c != ')' && c != '+') return false;
-  }
-  return digits >= 7 && digits <= 11;
+/// True when the token's word is in any of the `Lexicon::Class` tables in
+/// `classes`; reads the mask `Analyze` stored, no lexicon probe.
+bool Has(const Token& tok, uint32_t classes) {
+  return (tok.lexicon_classes & classes) != 0;
 }
 
-bool LooksLikeEmail(const std::string& t) {
-  size_t at = t.find('@');
-  if (at == std::string::npos || at == 0 || at + 1 >= t.size()) return false;
-  return t.find('.', at) != std::string::npos;
-}
-
-}  // namespace
-
-std::string AnalyzedText::SpanText(size_t begin, size_t end) const {
-  std::string out;
-  for (size_t i = begin; i < end && i < tokens.size(); ++i) {
-    if (!out.empty() && !IsPunct(tokens[i].text)) out.push_back(' ');
-    out += tokens[i].text;
-  }
-  return out;
-}
-
+/// POS-tags tokens in place (lexicon + shape rules + context repairs).
 void TagPos(std::vector<Token>* tokens) {
   const Lexicon& lex = Lexicon::Get();
   for (size_t i = 0; i < tokens->size(); ++i) {
@@ -54,27 +35,27 @@ void TagPos(std::vector<Token>* tokens) {
     } else if (LooksNumeric(tok.text) || LooksLikeClockTime(tok.text) ||
                LooksLikeMoney(tok.text)) {
       tok.pos = Pos::kCardinal;
-    } else if (lex.IsDeterminer(lo)) {
+    } else if (Has(tok, Lexicon::kDeterminer)) {
       tok.pos = Pos::kDeterminer;
-    } else if (lex.IsModal(lo)) {
+    } else if (Has(tok, Lexicon::kModal)) {
       tok.pos = Pos::kModal;
-    } else if (lex.IsPreposition(lo)) {
+    } else if (Has(tok, Lexicon::kPreposition)) {
       tok.pos = Pos::kPreposition;
-    } else if (lex.IsConjunction(lo)) {
+    } else if (Has(tok, Lexicon::kConjunction)) {
       tok.pos = Pos::kConjunction;
-    } else if (lex.IsPronoun(lo)) {
+    } else if (Has(tok, Lexicon::kPronoun)) {
       tok.pos = Pos::kPronoun;
-    } else if (lex.IsVerb(lo) && !lex.IsCommonNoun(lo)) {
+    } else if (Has(tok, Lexicon::kVerb) && !Has(tok, Lexicon::kCommonNoun)) {
       tok.pos = Pos::kVerb;
     } else if (lo.size() > 3 && lo.back() == 's' &&
-               lex.IsVerb(lo.substr(0, lo.size() - 1)) &&
-               !lex.IsCommonNoun(lo)) {
+               !Has(tok, Lexicon::kCommonNoun) &&
+               lex.IsVerb(lo.substr(0, lo.size() - 1))) {
       tok.pos = Pos::kVerb;  // third-person singular of a known verb
-    } else if (lex.IsAdjective(lo)) {
+    } else if (Has(tok, Lexicon::kAdjective)) {
       tok.pos = Pos::kAdjective;
-    } else if (lex.IsAdverb(lo)) {
+    } else if (Has(tok, Lexicon::kAdverb)) {
       tok.pos = Pos::kAdverb;
-    } else if (lex.IsCommonNoun(lo)) {
+    } else if (Has(tok, Lexicon::kCommonNoun)) {
       tok.pos = Pos::kNoun;
     } else if (util::IsCapitalized(tok.text)) {
       tok.pos = Pos::kProperNoun;
@@ -95,37 +76,35 @@ void TagPos(std::vector<Token>* tokens) {
     Token& tok = (*tokens)[i];
     // DT _ : a verb-tagged known noun after a determiner is a noun.
     if (i > 0 && (*tokens)[i - 1].pos == Pos::kDeterminer &&
-        tok.pos == Pos::kVerb && Lexicon::Get().IsCommonNoun(tok.lower)) {
+        tok.pos == Pos::kVerb && Has(tok, Lexicon::kCommonNoun)) {
       tok.pos = Pos::kNoun;
     }
     // MD _ : after a modal, prefer verb reading.
     if (i > 0 && (*tokens)[i - 1].pos == Pos::kModal &&
-        (tok.pos == Pos::kNoun) && Lexicon::Get().IsVerb(tok.lower)) {
+        (tok.pos == Pos::kNoun) && Has(tok, Lexicon::kVerb)) {
       tok.pos = Pos::kVerb;
     }
     // Sentence-initial capitalized known words: undo spurious NNP.
     if (tok.pos == Pos::kProperNoun) {
-      const Lexicon& lex = Lexicon::Get();
       bool sentence_initial = (i == 0) || (*tokens)[i - 1].pos == Pos::kPunct;
       if (sentence_initial) {
-        if (lex.IsVerb(tok.lower) && !lex.IsFirstName(tok.lower) &&
-            !lex.IsLastName(tok.lower) && !lex.IsCity(tok.lower)) {
+        if (Has(tok, Lexicon::kVerb) &&
+            !Has(tok, Lexicon::kFirstName | Lexicon::kLastName |
+                          Lexicon::kCity)) {
           tok.pos = Pos::kVerb;
-        } else if (lex.IsCommonNoun(tok.lower)) {
+        } else if (Has(tok, Lexicon::kCommonNoun)) {
           tok.pos = Pos::kNoun;
-        } else if (lex.IsAdjective(tok.lower)) {
+        } else if (Has(tok, Lexicon::kAdjective)) {
           tok.pos = Pos::kAdjective;
-        } else if (lex.IsDeterminer(tok.lower)) {
+        } else if (Has(tok, Lexicon::kDeterminer)) {
           tok.pos = Pos::kDeterminer;
-        } else if (lex.IsPreposition(tok.lower)) {
+        } else if (Has(tok, Lexicon::kPreposition)) {
           tok.pos = Pos::kPreposition;
         }
       }
     }
   }
 }
-
-namespace {
 
 // Fuzzy month/weekday match (edit distance 1 on words of >= 5 chars):
 // transcription noise turns "January" into "Tanuary" and a date tagger
@@ -137,7 +116,7 @@ bool FuzzyMonth(const std::string& lo) {
                                   "november", "december"};
   if (lo.size() < 5) return false;
   for (const char* m : kMonths) {
-    if (util::Levenshtein(lo, m) <= 1) return true;
+    if (util::WithinOneEdit(lo, m)) return true;
   }
   return false;
 }
@@ -147,34 +126,36 @@ bool FuzzyWeekday(const std::string& lo) {
                                 "friday", "saturday", "sunday"};
   if (lo.size() < 5) return false;
   for (const char* d : kDays) {
-    if (util::Levenshtein(lo, d) <= 1) return true;
+    if (util::WithinOneEdit(lo, d)) return true;
   }
   return false;
 }
 
-}  // namespace
+/// A month name, exact or one OCR edit away.
+bool MonthLike(const Token& tok) {
+  return Has(tok, Lexicon::kMonth) || FuzzyMonth(tok.lower);
+}
 
+/// Marks TIMEX-style time expressions (dates, clock times, weekday phrases).
 void TagTime(std::vector<Token>* tokens) {
-  const Lexicon& lex = Lexicon::Get();
   auto& ts = *tokens;
   for (size_t i = 0; i < ts.size(); ++i) {
     Token& tok = ts[i];
     const std::string& lo = tok.lower;
-    bool timeish = false;
-    if (FuzzyMonth(lo) || FuzzyWeekday(lo)) timeish = true;
+    bool timeish = MonthLike(tok) || Has(tok, Lexicon::kWeekday) ||
+                   FuzzyWeekday(lo);
     if (LooksLikeClockTime(tok.text)) {
       // Bare small integers only count with an am/pm neighbour.
       if (tok.text.find(':') != std::string::npos ||
           util::EndsWith(lo, "am") || util::EndsWith(lo, "pm")) {
         timeish = true;
-      } else if (i + 1 < ts.size() && lex.IsTimeWord(ts[i + 1].lower)) {
+      } else if (i + 1 < ts.size() && Has(ts[i + 1], Lexicon::kTimeWord)) {
         timeish = true;
       }
     }
-    if (lex.IsMonth(lo) || lex.IsWeekday(lo)) timeish = true;
-    if (lex.IsTimeWord(lo) && (lo == "noon" || lo == "midnight" ||
-                               lo == "tonight" || lo == "today" ||
-                               lo == "tomorrow")) {
+    if (Has(tok, Lexicon::kTimeWord) &&
+        (lo == "noon" || lo == "midnight" || lo == "tonight" ||
+         lo == "today" || lo == "tomorrow")) {
       timeish = true;
     }
     // am/pm markers and date shapes 04/12/2019, 2019, April 5th
@@ -192,11 +173,8 @@ void TagTime(std::vector<Token>* tokens) {
         timeish = true;
       }
       // "April 5" / "5 April" / ordinal after month (fuzzy months too)
-      if (i > 0 && (lex.IsMonth(ts[i - 1].lower) || FuzzyMonth(ts[i - 1].lower)))
-        timeish = true;
-      if (i + 1 < ts.size() &&
-          (lex.IsMonth(ts[i + 1].lower) || FuzzyMonth(ts[i + 1].lower)))
-        timeish = true;
+      if (i > 0 && MonthLike(ts[i - 1])) timeish = true;
+      if (i + 1 < ts.size() && MonthLike(ts[i + 1])) timeish = true;
     }
     if (timeish) {
       tok.is_timex = true;
@@ -229,17 +207,17 @@ void TagTime(std::vector<Token>* tokens) {
   }
 }
 
+/// Marks geocode-bearing tokens (street addresses, city/state/zip runs).
 void TagGeocodes(std::vector<Token>* tokens) {
   const Lexicon& lex = Lexicon::Get();
   auto& ts = *tokens;
   std::vector<bool> geo(ts.size(), false);
   for (size_t i = 0; i < ts.size(); ++i) {
-    const std::string& lo = ts[i].lower;
-    if (lex.IsCity(lo) || lex.IsStateName(lo)) geo[i] = true;
+    if (Has(ts[i], Lexicon::kCity | Lexicon::kStateName)) geo[i] = true;
     if (ts[i].text.size() == 2 && lex.IsStateAbbrev(ts[i].text)) geo[i] = true;
     if (LooksLikeZipCode(ts[i].text)) geo[i] = true;
     // Street pattern: CD (NNP|NN)+ street-suffix.
-    if (lex.IsStreetSuffix(lo) && i >= 1) {
+    if (Has(ts[i], Lexicon::kStreetSuffix) && i >= 1) {
       // Walk back across the street-name tokens to the leading number.
       size_t j = i;
       bool saw_number = false;
@@ -274,13 +252,12 @@ void TagGeocodes(std::vector<Token>* tokens) {
   }
 }
 
+/// NER over POS-tagged tokens: Person, Organization, Location, Time, Money.
 void TagNer(std::vector<Token>* tokens) {
-  const Lexicon& lex = Lexicon::Get();
   auto& ts = *tokens;
   for (size_t i = 0; i < ts.size(); ++i) {
     Token& tok = ts[i];
     if (tok.ner != NerClass::kNone) continue;
-    const std::string& lo = tok.lower;
 
     if (LooksLikeMoney(tok.text)) {
       tok.ner = NerClass::kMoney;
@@ -288,7 +265,7 @@ void TagNer(std::vector<Token>* tokens) {
     }
 
     // Organization: gazetteer word or suffix inside a capitalized run.
-    if ((lex.IsOrganizationWord(lo) || lex.IsOrganizationSuffix(lo)) &&
+    if (Has(tok, Lexicon::kOrganizationWord | Lexicon::kOrganizationSuffix) &&
         (util::IsCapitalized(tok.text) ||
          (i > 0 && util::IsCapitalized(ts[i - 1].text)))) {
       tok.ner = NerClass::kOrganization;
@@ -303,13 +280,13 @@ void TagNer(std::vector<Token>* tokens) {
     }
 
     // Person: title + capitalized, or first-name gazetteer hit.
-    if (lex.IsPersonTitle(lo) && i + 1 < ts.size() &&
+    if (Has(tok, Lexicon::kPersonTitle) && i + 1 < ts.size() &&
         util::IsCapitalized(ts[i + 1].text)) {
       tok.ner = NerClass::kPerson;
       continue;
     }
     if (util::IsCapitalized(tok.text) &&
-        (lex.IsFirstName(lo) || lex.IsLastName(lo))) {
+        Has(tok, Lexicon::kFirstName | Lexicon::kLastName)) {
       tok.ner = NerClass::kPerson;
       continue;
     }
@@ -332,9 +309,8 @@ void TagNer(std::vector<Token>* tokens) {
       bool org = false, person = false;
       while (j < ts.size() && ts[j].pos == Pos::kProperNoun &&
              ts[j].ner == NerClass::kNone) {
-        org = org || lex.IsOrganizationWord(ts[j].lower);
-        person = person || lex.IsFirstName(ts[j].lower) ||
-                 lex.IsLastName(ts[j].lower);
+        org = org || Has(ts[j], Lexicon::kOrganizationWord);
+        person = person || Has(ts[j], Lexicon::kFirstName | Lexicon::kLastName);
         ++j;
       }
       if (j - i >= 2) {
@@ -351,6 +327,7 @@ void TagNer(std::vector<Token>* tokens) {
   }
 }
 
+/// Attaches hypernym chains to nouns and senses to verbs.
 void TagSenses(std::vector<Token>* tokens) {
   const Lexicon& lex = Lexicon::Get();
   // Fuzzy sense lookup for OCR-corrupted verb forms ("Orqanized"): a
@@ -364,7 +341,7 @@ void TagSenses(std::vector<Token>* tokens) {
     static const std::vector<std::string> kEmpty;
     if (lo.size() < 6) return kEmpty;
     for (const std::string& v : kSenseVerbs) {
-      if (util::Levenshtein(lo, v) <= 1) return lex.VerbSenses(v);
+      if (util::WithinOneEdit(lo, v)) return lex.VerbSenses(v);
     }
     return kEmpty;
   };
@@ -390,6 +367,7 @@ void TagSenses(std::vector<Token>* tokens) {
   }
 }
 
+/// Phrase chunking over tagged tokens: maximal NPs, VPs and SVO clauses.
 std::vector<Chunk> ChunkPhrases(const std::vector<Token>& tokens) {
   std::vector<Chunk> chunks;
   auto is_np_member = [&](size_t i, bool head_seen) {
@@ -482,6 +460,17 @@ std::vector<Chunk> ChunkPhrases(const std::vector<Token>& tokens) {
   return chunks;
 }
 
+}  // namespace
+
+std::string AnalyzedText::SpanText(size_t begin, size_t end) const {
+  std::string out;
+  for (size_t i = begin; i < end && i < tokens.size(); ++i) {
+    if (!out.empty() && !IsPunct(tokens[i].text)) out.push_back(' ');
+    out += tokens[i].text;
+  }
+  return out;
+}
+
 AnalyzedText Analyze(const std::string& text,
                      const std::vector<size_t>& element_indices) {
   AnalyzedText out;
@@ -495,7 +484,8 @@ AnalyzedText Analyze(const std::string& text,
       tok.text = surface;
       tok.lower = util::ToLower(surface);
       tok.stem = PorterStem(tok.lower);
-      tok.is_stopword = lex.IsStopword(tok.lower);
+      tok.lexicon_classes = lex.Classes(tok.lower);
+      tok.is_stopword = Has(tok, Lexicon::kStopword);
       if (p < element_indices.size()) tok.element_index = element_indices[p];
       out.tokens.push_back(std::move(tok));
     }

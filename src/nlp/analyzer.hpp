@@ -6,6 +6,8 @@
 /// block text (Sec 5.2): normalization, stopword marking, POS tagging,
 /// named-entity recognition, TIMEX-style time tagging, geocode tagging,
 /// hypernym/verb-sense augmentation, and phrase chunking (NP/VP/SVO).
+/// The stages are internal to `Analyze`, which probes the lexicon once per
+/// token; the stages read the stored class mask.
 
 #include <string>
 #include <vector>
@@ -37,28 +39,6 @@ struct AnalyzedText {
 /// detachment); all fragments inherit the same element index.
 AnalyzedText Analyze(const std::string& text,
                      const std::vector<size_t>& element_indices = {});
-
-/// \name Individual stages (exposed for tests and baselines).
-/// @{
-
-/// POS-tags tokens in place (lexicon + shape rules + context repairs).
-void TagPos(std::vector<Token>* tokens);
-
-/// NER over POS-tagged tokens: Person, Organization, Location, Time, Money.
-void TagNer(std::vector<Token>* tokens);
-
-/// Marks TIMEX-style time expressions (dates, clock times, weekday phrases).
-void TagTime(std::vector<Token>* tokens);
-
-/// Marks geocode-bearing tokens (street addresses, city/state/zip runs).
-void TagGeocodes(std::vector<Token>* tokens);
-
-/// Attaches hypernym chains to nouns and senses to verbs.
-void TagSenses(std::vector<Token>* tokens);
-
-/// Phrase chunking over tagged tokens: maximal NPs, VPs and SVO clauses.
-std::vector<Chunk> ChunkPhrases(const std::vector<Token>& tokens);
-/// @}
 
 }  // namespace vs2::nlp
 

@@ -1,33 +1,15 @@
 #include "nlp/lexicon.hpp"
 
+#include <algorithm>
+#include <initializer_list>
 #include <unordered_map>
 #include <unordered_set>
 
 namespace vs2::nlp {
 
 struct Lexicon::Impl {
-  std::unordered_set<std::string> first_names;
-  std::unordered_set<std::string> last_names;
-  std::unordered_set<std::string> org_words;
-  std::unordered_set<std::string> org_suffixes;
-  std::unordered_set<std::string> person_titles;
-  std::unordered_set<std::string> cities;
-  std::unordered_set<std::string> state_names;
-  std::unordered_set<std::string> state_abbrevs;
-  std::unordered_set<std::string> street_suffixes;
-  std::unordered_set<std::string> months;
-  std::unordered_set<std::string> weekdays;
-  std::unordered_set<std::string> time_words;
-  std::unordered_set<std::string> common_nouns;
-  std::unordered_set<std::string> verbs;
-  std::unordered_set<std::string> adjectives;
-  std::unordered_set<std::string> adverbs;
-  std::unordered_set<std::string> determiners;
-  std::unordered_set<std::string> prepositions;
-  std::unordered_set<std::string> conjunctions;
-  std::unordered_set<std::string> pronouns;
-  std::unordered_set<std::string> modals;
-  std::unordered_set<std::string> stopwords;
+  std::unordered_map<std::string, uint32_t> classes;  ///< word -> Class bits
+  std::unordered_set<std::string> state_abbrevs;      ///< uppercase
   std::unordered_map<std::string, std::vector<std::string>> hypernyms;
   std::unordered_map<std::string, std::vector<std::string>> verb_senses;
   std::unordered_map<std::string, std::string> glosses;
@@ -35,10 +17,15 @@ struct Lexicon::Impl {
 
 namespace {
 
+void AddWords(Lexicon::Impl* impl, uint32_t bit,
+              std::initializer_list<const char*> words) {
+  for (const char* w : words) impl->classes[w] |= bit;
+}
+
 Lexicon::Impl* BuildImpl() {
   auto* impl = new Lexicon::Impl();
 
-  impl->first_names = {
+  AddWords(impl, Lexicon::kFirstName, {
       "james",  "mary",    "robert",  "patricia", "john",    "jennifer",
       "michael", "linda",  "david",   "elizabeth", "william", "barbara",
       "richard", "susan",  "joseph",  "jessica",  "thomas",  "sarah",
@@ -49,9 +36,9 @@ Lexicon::Impl* BuildImpl() {
       "brian",   "carol",  "george",  "amanda",   "edward",  "melissa",
       "ronald",  "deborah", "alice",  "ritesh",   "arnab",   "priya",
       "carlos",  "elena",  "miguel",  "sofia",    "chen",    "wei",
-      "yuki",    "hana",   "omar",    "fatima",   "ivan",    "olga"};
+      "yuki",    "hana",   "omar",    "fatima",   "ivan",    "olga"});
 
-  impl->last_names = {
+  AddWords(impl, Lexicon::kLastName, {
       "smith",    "johnson",  "williams", "brown",   "jones",    "garcia",
       "miller",   "davis",    "rodriguez", "martinez", "hernandez", "lopez",
       "gonzalez", "wilson",   "anderson", "thomas",  "taylor",   "moore",
@@ -61,9 +48,9 @@ Lexicon::Impl* BuildImpl() {
       "torres",   "nguyen",   "hill",     "flores",  "green",    "adams",
       "nelson",   "baker",    "hall",     "rivera",  "campbell", "mitchell",
       "carter",   "roberts",  "sarkhel",  "nandi",   "patel",    "kim",
-      "chen",     "singh",    "kumar",    "gupta",   "tanaka",   "ali"};
+      "chen",     "singh",    "kumar",    "gupta",   "tanaka",   "ali"});
 
-  impl->org_words = {
+  AddWords(impl, Lexicon::kOrganizationWord, {
       "university", "college",  "institute",  "department", "school",
       "society",    "club",     "association", "center",    "centre",
       "foundation", "committee", "council",    "laboratory", "museum",
@@ -72,17 +59,19 @@ Lexicon::Impl* BuildImpl() {
       "friends",    "rotary",   "guild",       "collective", "chapter",
       "department", "university", "college",
       "company",    "enterprises", "holdings", "partners",   "studios",
-      "theater",    "theatre",  "orchestra",   "ensemble",   "chapter"};
+      "theater",    "theatre",  "orchestra",   "ensemble",   "chapter"});
 
-  impl->org_suffixes = {"inc",  "llc", "ltd", "corp", "co",
-                        "llp",  "plc", "gmbh", "inc.", "llc.",
-                        "ltd.", "corp.", "co."};
+  AddWords(impl, Lexicon::kOrganizationSuffix, {
+      "inc",  "llc", "ltd", "corp", "co",
+      "llp",  "plc", "gmbh", "inc.", "llc.",
+      "ltd.", "corp.", "co."});
 
-  impl->person_titles = {"mr",  "mrs", "ms",  "dr",   "prof", "professor",
-                         "mr.", "mrs.", "ms.", "dr.", "prof.", "rev",
-                         "rev.", "sir", "madam", "capt", "capt."};
+  AddWords(impl, Lexicon::kPersonTitle, {
+      "mr",  "mrs", "ms",  "dr",   "prof", "professor",
+      "mr.", "mrs.", "ms.", "dr.", "prof.", "rev",
+      "rev.", "sir", "madam", "capt", "capt."});
 
-  impl->cities = {
+  AddWords(impl, Lexicon::kCity, {
       "columbus",   "cleveland", "cincinnati", "dayton",    "toledo",
       "akron",      "chicago",   "newyork",    "york",      "boston",
       "seattle",    "austin",    "denver",     "portland",  "atlanta",
@@ -92,9 +81,9 @@ Lexicon::Impl* BuildImpl() {
       "albany",     "buffalo",   "rochester",  "syracuse",  "madison",
       "milwaukee",  "minneapolis", "louisville", "lexington", "indianapolis",
       "springfield", "westerville", "dublin",  "hilliard",  "gahanna",
-      "reynoldsburg", "grove",   "powell",     "delaware",  "newark"};
+      "reynoldsburg", "grove",   "powell",     "delaware",  "newark"});
 
-  impl->state_names = {
+  AddWords(impl, Lexicon::kStateName, {
       "ohio",      "california", "texas",     "florida",   "illinois",
       "michigan",  "georgia",    "virginia",  "washington", "oregon",
       "colorado",  "arizona",    "nevada",    "utah",      "montana",
@@ -102,7 +91,7 @@ Lexicon::Impl* BuildImpl() {
       "tennessee", "alabama",    "louisiana", "oklahoma",  "arkansas",
       "indiana",   "wisconsin",  "minnesota", "nebraska",  "maine",
       "vermont",   "delaware",   "maryland",  "pennsylvania", "connecticut",
-      "massachusetts", "york"};
+      "massachusetts", "york"});
 
   impl->state_abbrevs = {"OH", "CA", "TX", "FL", "IL", "MI", "GA", "VA",
                          "WA", "OR", "CO", "AZ", "NV", "UT", "MT", "ID",
@@ -110,31 +99,34 @@ Lexicon::Impl* BuildImpl() {
                          "AR", "IN", "WI", "MN", "NE", "ME", "VT", "DE",
                          "MD", "PA", "CT", "MA", "NY", "NJ", "NC", "SC"};
 
-  impl->street_suffixes = {
+  AddWords(impl, Lexicon::kStreetSuffix, {
       "street", "st",   "st.",  "avenue", "ave",  "ave.", "road",  "rd",
       "rd.",    "drive", "dr",  "dr.",    "lane", "ln",   "ln.",   "boulevard",
       "blvd",   "blvd.", "court", "ct",   "ct.",  "place", "pl",   "pl.",
       "circle", "cir",  "cir.", "way",    "parkway", "pkwy", "pkwy.",
       "highway", "hwy", "hwy.", "terrace", "ter",  "ter.", "trail", "trl",
-      "suite",  "ste",  "ste.", "floor",  "fl.",  "unit", "apt",   "apt."};
+      "suite",  "ste",  "ste.", "floor",  "fl.",  "unit", "apt",   "apt."});
 
-  impl->months = {"january", "february", "march",    "april",   "may",
-                  "june",    "july",     "august",   "september", "october",
-                  "november", "december", "jan",     "feb",     "mar",
-                  "apr",     "jun",      "jul",      "aug",     "sep",
-                  "sept",    "oct",      "nov",      "dec"};
+  AddWords(impl, Lexicon::kMonth, {
+      "january", "february", "march",    "april",   "may",
+      "june",    "july",     "august",   "september", "october",
+      "november", "december", "jan",     "feb",     "mar",
+      "apr",     "jun",      "jul",      "aug",     "sep",
+      "sept",    "oct",      "nov",      "dec"});
 
-  impl->weekdays = {"monday", "tuesday", "wednesday", "thursday", "friday",
-                    "saturday", "sunday", "mon",      "tue",      "tues",
-                    "wed",    "thu",     "thur",      "thurs",    "fri",
-                    "sat",    "sun"};
+  AddWords(impl, Lexicon::kWeekday, {
+      "monday", "tuesday", "wednesday", "thursday", "friday",
+      "saturday", "sunday", "mon",      "tue",      "tues",
+      "wed",    "thu",     "thur",      "thurs",    "fri",
+      "sat",    "sun"});
 
-  impl->time_words = {"am",   "pm",    "a.m",  "p.m",  "a.m.", "p.m.",
-                      "noon", "midnight", "morning", "afternoon", "evening",
-                      "night", "oclock", "o'clock", "doors", "sharp",
-                      "today", "tomorrow", "tonight", "weekly", "daily"};
+  AddWords(impl, Lexicon::kTimeWord, {
+      "am",   "pm",    "a.m",  "p.m",  "a.m.", "p.m.",
+      "noon", "midnight", "morning", "afternoon", "evening",
+      "night", "oclock", "o'clock", "doors", "sharp",
+      "today", "tomorrow", "tonight", "weekly", "daily"});
 
-  impl->common_nouns = {
+  AddWords(impl, Lexicon::kCommonNoun, {
       "event",    "workshop", "seminar",  "lecture", "concert",  "festival",
       "class",    "course",   "meeting",  "talk",    "conference", "session",
       "fair",     "gala",     "fundraiser", "party", "show",     "exhibition",
@@ -155,9 +147,9 @@ Lexicon::Impl* BuildImpl() {
       "details",  "info",     "information", "welcome", "community",
       "students", "children", "adults",   "families", "members", "guest",
       "guests",   "sqft",     "feet",     "foot",    "floors",   "story",
-      "stories",  "year",     "years",    "month",   "day",      "week"};
+      "stories",  "year",     "years",    "month",   "day",      "week"});
 
-  impl->verbs = {
+  AddWords(impl, Lexicon::kVerb, {
       "join",     "come",    "attend",  "learn",   "discover", "explore",
       "enjoy",    "celebrate", "meet",  "bring",   "host",     "hosts",
       "hosted",   "hosting", "present", "presents", "presented", "presenting",
@@ -176,9 +168,9 @@ Lexicon::Impl* BuildImpl() {
       "speak",    "speaks",  "is",      "are",     "was",      "were",
       "be",       "been",    "has",     "have",    "had",      "do",
       "does",     "did",     "get",     "make",    "see",      "go",
-      "welcome",  "invite",  "invites", "invited", "curated",  "curates"};
+      "welcome",  "invite",  "invites", "invited", "curated",  "curates"});
 
-  impl->adjectives = {
+  AddWords(impl, Lexicon::kAdjective, {
       "free",      "open",     "public",   "private",  "annual",  "monthly",
       "weekly",    "special",  "grand",    "new",      "live",    "local",
       "great",     "amazing",  "exciting", "spacious", "beautiful",
@@ -190,38 +182,44 @@ Lexicon::Impl* BuildImpl() {
       "academic",  "introductory", "advanced", "beginner", "friendly",
       "fall",      "spring",   "summer",   "winter",   "monthly",  "midnight",
       "central",   "downtown", "historic", "quiet",    "walkable", "detached",
-      "finished",  "attached", "hardwood", "granite",  "stainless", "vaulted"};
+      "finished",  "attached", "hardwood", "granite",  "stainless", "vaulted"});
 
-  impl->adverbs = {"now",    "today",  "here",   "there",  "very",
-                   "newly",  "fully",  "soon",   "only",   "just",
-                   "ideally", "conveniently", "beautifully", "recently",
-                   "completely", "approximately", "nearly", "about"};
+  AddWords(impl, Lexicon::kAdverb, {
+      "now",    "today",  "here",   "there",  "very",
+      "newly",  "fully",  "soon",   "only",   "just",
+      "ideally", "conveniently", "beautifully", "recently",
+      "completely", "approximately", "nearly", "about"});
 
-  impl->determiners = {"the", "a", "an", "this", "that", "these", "those",
-                       "all", "every", "each", "some", "any", "no", "our",
-                       "your", "its", "their", "his", "her", "my"};
+  AddWords(impl, Lexicon::kDeterminer, {
+      "the", "a", "an", "this", "that", "these", "those",
+      "all", "every", "each", "some", "any", "no", "our",
+      "your", "its", "their", "his", "her", "my"});
 
-  impl->prepositions = {"in",   "on",   "at",   "by",    "for",  "with",
-                        "from", "to",   "of",   "about", "near", "off",
-                        "over", "under", "into", "through", "during",
-                        "per",  "via",  "within", "between", "behind"};
+  AddWords(impl, Lexicon::kPreposition, {
+      "in",   "on",   "at",   "by",    "for",  "with",
+      "from", "to",   "of",   "about", "near", "off",
+      "over", "under", "into", "through", "during",
+      "per",  "via",  "within", "between", "behind"});
 
-  impl->conjunctions = {"and", "or", "but", "nor", "so", "yet", "&"};
+  AddWords(impl, Lexicon::kConjunction, {
+      "and", "or", "but", "nor", "so", "yet", "&"});
 
-  impl->pronouns = {"i",   "you", "he",  "she", "it", "we", "they", "us",
-                    "them", "who", "what", "which"};
+  AddWords(impl, Lexicon::kPronoun, {
+      "i",   "you", "he",  "she", "it", "we", "they", "us",
+      "them", "who", "what", "which"});
 
-  impl->modals = {"will", "would", "can", "could", "may", "might", "shall",
-                  "should", "must"};
+  AddWords(impl, Lexicon::kModal, {
+      "will", "would", "can", "could", "may", "might", "shall",
+      "should", "must"});
 
-  impl->stopwords = {
+  AddWords(impl, Lexicon::kStopword, {
       "the",  "a",    "an",  "and", "or",   "but", "of",  "in",  "on",
       "at",   "by",   "for", "with", "from", "to",  "is",  "are", "was",
       "were", "be",   "been", "has", "have", "had", "do",  "does", "did",
       "this", "that", "these", "those", "it", "its", "as", "if",  "so",
       "than", "then", "there", "here", "all", "any", "each", "our", "your",
       "their", "his", "her",  "we",  "you", "they", "i",  "not", "no",
-      "will", "would", "can", "could"};
+      "will", "would", "can", "could"});
 
   impl->hypernyms = {
       // measure sense (Table 4: Property Size)
@@ -384,28 +382,42 @@ const Lexicon& Lexicon::Get() {
   return instance;
 }
 
-bool Lexicon::IsFirstName(const std::string& w) const { return impl_->first_names.count(w) > 0; }
-bool Lexicon::IsLastName(const std::string& w) const { return impl_->last_names.count(w) > 0; }
-bool Lexicon::IsOrganizationWord(const std::string& w) const { return impl_->org_words.count(w) > 0; }
-bool Lexicon::IsOrganizationSuffix(const std::string& w) const { return impl_->org_suffixes.count(w) > 0; }
-bool Lexicon::IsPersonTitle(const std::string& w) const { return impl_->person_titles.count(w) > 0; }
-bool Lexicon::IsCity(const std::string& w) const { return impl_->cities.count(w) > 0; }
-bool Lexicon::IsStateName(const std::string& w) const { return impl_->state_names.count(w) > 0; }
+
+uint32_t Lexicon::Classes(const std::string& w) const {
+  auto it = impl_->classes.find(w);
+  return it == impl_->classes.end() ? 0 : it->second;
+}
+
+std::vector<std::string> Lexicon::Words() const {
+  std::vector<std::string> words;
+  words.reserve(impl_->classes.size());
+  for (const auto& [word, bits] : impl_->classes) words.push_back(word);
+  std::sort(words.begin(), words.end());
+  return words;
+}
+
+bool Lexicon::IsFirstName(const std::string& w) const { return (Classes(w) & kFirstName) != 0; }
+bool Lexicon::IsLastName(const std::string& w) const { return (Classes(w) & kLastName) != 0; }
+bool Lexicon::IsOrganizationWord(const std::string& w) const { return (Classes(w) & kOrganizationWord) != 0; }
+bool Lexicon::IsOrganizationSuffix(const std::string& w) const { return (Classes(w) & kOrganizationSuffix) != 0; }
+bool Lexicon::IsPersonTitle(const std::string& w) const { return (Classes(w) & kPersonTitle) != 0; }
+bool Lexicon::IsCity(const std::string& w) const { return (Classes(w) & kCity) != 0; }
+bool Lexicon::IsStateName(const std::string& w) const { return (Classes(w) & kStateName) != 0; }
+bool Lexicon::IsStreetSuffix(const std::string& w) const { return (Classes(w) & kStreetSuffix) != 0; }
+bool Lexicon::IsMonth(const std::string& w) const { return (Classes(w) & kMonth) != 0; }
+bool Lexicon::IsWeekday(const std::string& w) const { return (Classes(w) & kWeekday) != 0; }
+bool Lexicon::IsTimeWord(const std::string& w) const { return (Classes(w) & kTimeWord) != 0; }
+bool Lexicon::IsCommonNoun(const std::string& w) const { return (Classes(w) & kCommonNoun) != 0; }
+bool Lexicon::IsVerb(const std::string& w) const { return (Classes(w) & kVerb) != 0; }
+bool Lexicon::IsAdjective(const std::string& w) const { return (Classes(w) & kAdjective) != 0; }
+bool Lexicon::IsAdverb(const std::string& w) const { return (Classes(w) & kAdverb) != 0; }
+bool Lexicon::IsDeterminer(const std::string& w) const { return (Classes(w) & kDeterminer) != 0; }
+bool Lexicon::IsPreposition(const std::string& w) const { return (Classes(w) & kPreposition) != 0; }
+bool Lexicon::IsConjunction(const std::string& w) const { return (Classes(w) & kConjunction) != 0; }
+bool Lexicon::IsPronoun(const std::string& w) const { return (Classes(w) & kPronoun) != 0; }
+bool Lexicon::IsModal(const std::string& w) const { return (Classes(w) & kModal) != 0; }
+bool Lexicon::IsStopword(const std::string& w) const { return (Classes(w) & kStopword) != 0; }
 bool Lexicon::IsStateAbbrev(const std::string& w) const { return impl_->state_abbrevs.count(w) > 0; }
-bool Lexicon::IsStreetSuffix(const std::string& w) const { return impl_->street_suffixes.count(w) > 0; }
-bool Lexicon::IsMonth(const std::string& w) const { return impl_->months.count(w) > 0; }
-bool Lexicon::IsWeekday(const std::string& w) const { return impl_->weekdays.count(w) > 0; }
-bool Lexicon::IsTimeWord(const std::string& w) const { return impl_->time_words.count(w) > 0; }
-bool Lexicon::IsCommonNoun(const std::string& w) const { return impl_->common_nouns.count(w) > 0; }
-bool Lexicon::IsVerb(const std::string& w) const { return impl_->verbs.count(w) > 0; }
-bool Lexicon::IsAdjective(const std::string& w) const { return impl_->adjectives.count(w) > 0; }
-bool Lexicon::IsAdverb(const std::string& w) const { return impl_->adverbs.count(w) > 0; }
-bool Lexicon::IsDeterminer(const std::string& w) const { return impl_->determiners.count(w) > 0; }
-bool Lexicon::IsPreposition(const std::string& w) const { return impl_->prepositions.count(w) > 0; }
-bool Lexicon::IsConjunction(const std::string& w) const { return impl_->conjunctions.count(w) > 0; }
-bool Lexicon::IsPronoun(const std::string& w) const { return impl_->pronouns.count(w) > 0; }
-bool Lexicon::IsModal(const std::string& w) const { return impl_->modals.count(w) > 0; }
-bool Lexicon::IsStopword(const std::string& w) const { return impl_->stopwords.count(w) > 0; }
 
 const std::vector<std::string>& Lexicon::Hypernyms(const std::string& w) const {
   static const std::vector<std::string> kEmpty;

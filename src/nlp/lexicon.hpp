@@ -11,7 +11,13 @@
 ///
 /// All lookups expect lowercase input unless stated otherwise; all data is
 /// compiled in (the library has no runtime file dependencies).
+///
+/// The lowercase word tables share one hash table from word to a bitmask
+/// of `Lexicon::Class` bits, so a token's every class is one probe
+/// (`Classes`); `nlp::Analyze` stores that mask on the token and the
+/// taggers test bits. The `Is*` methods are one-probe wrappers over it.
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -21,6 +27,39 @@ namespace vs2::nlp {
 class Lexicon {
  public:
   static const Lexicon& Get();
+
+  /// One bit per lowercase word table.
+  enum Class : uint32_t {
+    kFirstName = 1u << 0,
+    kLastName = 1u << 1,
+    kOrganizationWord = 1u << 2,
+    kOrganizationSuffix = 1u << 3,
+    kPersonTitle = 1u << 4,
+    kCity = 1u << 5,
+    kStateName = 1u << 6,
+    kStreetSuffix = 1u << 7,
+    kMonth = 1u << 8,
+    kWeekday = 1u << 9,
+    kTimeWord = 1u << 10,
+    kCommonNoun = 1u << 11,
+    kVerb = 1u << 12,
+    kAdjective = 1u << 13,
+    kAdverb = 1u << 14,
+    kDeterminer = 1u << 15,
+    kPreposition = 1u << 16,
+    kConjunction = 1u << 17,
+    kPronoun = 1u << 18,
+    kModal = 1u << 19,
+    kStopword = 1u << 20,
+  };
+
+  /// Union of the `Class` bits of every table holding `lower`; 0 when the
+  /// word is in none.
+  uint32_t Classes(const std::string& lower) const;
+
+  /// Every word of the lowercase tables, sorted. For tests and tools that
+  /// enumerate the vocabulary; the taggers never call it.
+  std::vector<std::string> Words() const;
 
   /// \name NER gazetteers.
   /// @{

@@ -449,6 +449,7 @@ bool WithinEditBudget(std::string_view a, std::string_view b, size_t budget) {
   size_t diff = la > lb ? la - lb : lb - la;
   if (diff > budget) return false;  // length gap lower-bounds the distance
   if (budget == 0) return a == b;
+  if (budget == 1) return util::WithinOneEdit(a, b);
   if (lb >= 64) return util::Levenshtein(a, b) <= budget;
   size_t prev[64], cur[64];
   for (size_t j = 0; j <= lb; ++j) prev[j] = j;

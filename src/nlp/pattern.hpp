@@ -84,6 +84,8 @@ std::vector<PatternMatch> MatchAny(const AnalyzedText& text,
 struct PreparedDescriptor {
   std::vector<std::string> want;  ///< lowered descriptor tokens, in order
   std::vector<size_t> budgets;    ///< per-token OCR edit budgets
+
+  bool operator==(const PreparedDescriptor&) const = default;
 };
 
 /// Splits and lowers the descriptor literal once. `want` is empty (matches

@@ -9,6 +9,7 @@
 /// rule/gazetteer systems producing the same *kinds* of tags.
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,10 @@ struct Token {
   std::string text;   ///< surface form
   std::string lower;  ///< lowercased surface
   std::string stem;   ///< Porter stem of `lower`
+
+  /// `Lexicon::Classes(lower)`: the word tables holding this token, probed
+  /// once by `Analyze` and tested by every tagger.
+  uint32_t lexicon_classes = 0;
 
   Pos pos = Pos::kOther;
   NerClass ner = NerClass::kNone;

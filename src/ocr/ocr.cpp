@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <map>
 
 #include "raster/renderer.hpp"
@@ -57,22 +58,43 @@ std::string CorruptWord(const std::string& word, double char_rate,
 }  // namespace
 
 double EstimateSkewDegrees(const doc::Document& doc) {
+  // Text elements by left edge. Every candidate right of `a` within three
+  // line heights is then one contiguous run, found by binary search and
+  // swept until `dx` passes the limit (`dx` grows with `b.x`). A NaN left
+  // edge can never be the nearest neighbour, so those elements stay out.
+  std::vector<size_t> by_x;
+  for (size_t j = 0; j < doc.elements.size(); ++j) {
+    const doc::AtomicElement& b = doc.elements[j];
+    if (b.is_text() && !std::isnan(b.bbox.x)) by_x.push_back(j);
+  }
+  std::sort(by_x.begin(), by_x.end(), [&doc](size_t p, size_t q) {
+    return doc.elements[p].bbox.x < doc.elements[q].bbox.x;
+  });
+
   std::vector<double> angles;
   for (size_t i = 0; i < doc.elements.size(); ++i) {
     const doc::AtomicElement& a = doc.elements[i];
     if (!a.is_text()) continue;
-    // Nearest element to the right on (roughly) the same line.
+    // Nearest element to the right on (roughly) the same line; among equal
+    // gaps the lowest element index wins.
+    const double right = a.bbox.right();
+    auto run = std::partition_point(by_x.begin(), by_x.end(), [&](size_t j) {
+      return doc.elements[j].bbox.x - right <= 0.0;
+    });
     double best_dx = 1e18;
+    size_t best_j = doc.elements.size();
     double best_angle = 0.0;
-    for (size_t j = 0; j < doc.elements.size(); ++j) {
-      if (i == j || !doc.elements[j].is_text()) continue;
+    for (; run != by_x.end(); ++run) {
+      const size_t j = *run;
       const doc::AtomicElement& b = doc.elements[j];
-      double dx = b.bbox.x - a.bbox.right();
+      double dx = b.bbox.x - right;
+      if (dx > a.bbox.height * 3.0) break;
+      if (i == j || dx <= 0.0) continue;
       double dy = b.bbox.Centroid().y - a.bbox.Centroid().y;
-      if (dx <= 0.0 || dx > a.bbox.height * 3.0) continue;
       if (std::abs(dy) > a.bbox.height * 1.2) continue;
-      if (dx < best_dx) {
+      if (dx < best_dx || (dx == best_dx && j < best_j)) {
         best_dx = dx;
+        best_j = j;
         best_angle = std::atan2(dy, b.bbox.Centroid().x -
                                         a.bbox.Centroid().x) *
                      180.0 / M_PI;

@@ -47,6 +47,9 @@ doc::Document Transcribe(const doc::Document& doc, const OcrConfig& config);
 
 /// Estimates the dominant text-line angle (degrees) from nearest-right-
 /// neighbour direction statistics; 0 when the document has too little text.
+/// One sort by left edge plus a bounded sweep per element, O(n log n) for
+/// a page of text; `tests/reference/skew_reference.hpp` holds the
+/// all-pairs scan it is tested against.
 double EstimateSkewDegrees(const doc::Document& doc);
 
 /// \brief A block found by layout analysis: element indices + bbox.

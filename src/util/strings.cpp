@@ -130,6 +130,18 @@ size_t Levenshtein(std::string_view a, std::string_view b) {
   return prev[b.size()];
 }
 
+bool WithinOneEdit(std::string_view a, std::string_view b) {
+  if (a.size() > b.size()) std::swap(a, b);
+  if (b.size() - a.size() > 1) return false;
+  size_t i = 0;
+  while (i < a.size() && a[i] == b[i]) ++i;
+  if (i == a.size()) return true;  // equal, or b is a plus one trailing char
+  // Past the first mismatch the rest must line up after substituting a[i]
+  // (equal lengths) or after deleting b[i] (b one longer).
+  size_t skip_a = a.size() == b.size() ? i + 1 : i;
+  return a.substr(skip_a) == b.substr(i + 1);
+}
+
 std::string Format(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

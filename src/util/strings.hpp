@@ -56,6 +56,9 @@ bool HasDigit(std::string_view text);
 /// Levenshtein edit distance (insert/delete/substitute, unit costs).
 size_t Levenshtein(std::string_view a, std::string_view b);
 
+/// Exactly `Levenshtein(a, b) <= 1`, in one linear pass with no allocation.
+bool WithinOneEdit(std::string_view a, std::string_view b);
+
 /// printf-style formatting into a std::string.
 std::string Format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -502,6 +502,32 @@ TEST(PatternLearnerTest, D1UsesFieldDescriptors) {
   }
 }
 
+TEST(PatternLearnerTest, BookCarriesPreparedDescriptors) {
+  for (doc::DatasetId id : {doc::DatasetId::kD1TaxForms,
+                            doc::DatasetId::kD2EventPosters,
+                            doc::DatasetId::kD3RealEstateFlyers}) {
+    PatternBook book = LearnPatterns(datasets::BuildHoldoutCorpus(id, 0x5EED));
+    ASSERT_FALSE(book.entities.empty());
+    size_t descriptors = 0;
+    for (const LearnedEntityPatterns& learned : book.entities) {
+      ASSERT_EQ(learned.prepared.size(), learned.patterns.size())
+          << learned.entity;
+      for (size_t i = 0; i < learned.patterns.size(); ++i) {
+        EXPECT_EQ(learned.prepared[i],
+                  nlp::PrepareDescriptor(learned.patterns[i]))
+            << learned.entity << " pattern " << i;
+        descriptors += learned.prepared[i].want.empty() ? 0 : 1;
+      }
+    }
+    // D1 searches field descriptors only; D2 and D3 learn none.
+    if (id == doc::DatasetId::kD1TaxForms) {
+      EXPECT_EQ(descriptors, book.entities.size());
+    } else {
+      EXPECT_EQ(descriptors, 0u);
+    }
+  }
+}
+
 TEST(PatternsFromMinedTreeTest, MappingByFeature) {
   auto check = [](const char* sexp, nlp::PatternKind kind) {
     auto tree = mining::ParseSExpression(sexp);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 
@@ -13,6 +14,7 @@
 #include "embed/embedding.hpp"
 #include "ocr/ocr.hpp"
 #include "raster/renderer.hpp"
+#include "reference/skew_reference.hpp"
 #include "util/math.hpp"
 
 namespace vs2 {
@@ -193,6 +195,120 @@ TEST(OcrTest, DeskewEstimatesRotation) {
   // Transcribe corrects most of it.
   doc::Document observed = ocr::Transcribe(d, {});
   EXPECT_LT(std::abs(ocr::EstimateSkewDegrees(observed)), 1.0);
+}
+
+// The sorted sweep must return the all-pairs scan's value bit for bit.
+void ExpectSameSkew(const doc::Document& d, const std::string& what) {
+  double fast = ocr::EstimateSkewDegrees(d);
+  double oracle = reference::AllPairsSkewDegrees(d);
+  EXPECT_EQ(std::bit_cast<uint64_t>(fast), std::bit_cast<uint64_t>(oracle))
+      << what << ": sweep " << fast << " vs all-pairs " << oracle;
+}
+
+TEST(OcrSkewTest, SweepMatchesAllPairsOnDatasets) {
+  datasets::GeneratorConfig gc;
+  gc.num_documents = 8;
+  gc.seed = 99;
+  for (doc::DatasetId id : {doc::DatasetId::kD1TaxForms,
+                            doc::DatasetId::kD2EventPosters,
+                            doc::DatasetId::kD3RealEstateFlyers}) {
+    for (const doc::Document& d : datasets::Generate(id, gc).documents) {
+      std::string what = std::string(doc::DatasetName(id)) + " #" +
+                         std::to_string(d.id);
+      ExpectSameSkew(d, what);
+      ExpectSameSkew(ocr::Transcribe(d, {}), what + " transcribed");
+      for (double degrees : {-4.0, 2.5}) {
+        doc::Document rotated = d;
+        raster::RotateDocument(&rotated, degrees);
+        ExpectSameSkew(rotated, what + " rotated");
+      }
+    }
+  }
+}
+
+TEST(OcrSkewTest, SweepMatchesAllPairsOnRandomBoxes) {
+  util::Rng rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    doc::Document d;
+    d.width = 400;
+    d.height = 400;
+    int n = rng.UniformInt(0, 60);
+    for (int k = 0; k < n; ++k) {
+      doc::AtomicElement e;
+      if (rng.Bernoulli(0.1)) e.kind = doc::ElementKind::kImage;
+      // Integer lattice coordinates make equal gaps (ties) common.
+      e.bbox = {static_cast<double>(rng.UniformInt(0, 40) * 10),
+                static_cast<double>(rng.UniformInt(0, 40) * 10),
+                static_cast<double>(rng.UniformInt(0, 6) * 5),
+                static_cast<double>(rng.UniformInt(1, 4) * 5)};
+      if (trial % 2 == 1) {
+        e.bbox.x += rng.UniformDouble(-3.0, 3.0);
+        e.bbox.y += rng.UniformDouble(-3.0, 3.0);
+      }
+      d.elements.push_back(e);
+    }
+    ExpectSameSkew(d, "trial " + std::to_string(trial));
+  }
+}
+
+TEST(OcrSkewTest, EqualGapsPickTheLowestElementIndex) {
+  // Element 0 has two right neighbours at the same gap: element 1 slightly
+  // below, element 2 slightly above. The lower index (1) decides its angle,
+  // so every element's angle is positive (y grows downward) and so is the
+  // median.
+  doc::Document d;
+  d.width = 400;
+  d.height = 400;
+  auto add = [&d](double x, double y) {
+    doc::AtomicElement e;
+    e.text = "w";
+    e.bbox = {x, y, 20, 10};
+    d.elements.push_back(e);
+  };
+  for (int row = 0; row < 4; ++row) {
+    double y = 40.0 * row;
+    add(0, y);        // a
+    add(30, y + 4);   // lower index, below a
+    add(30, y - 4);   // same gap, above a
+  }
+  ExpectSameSkew(d, "tie");
+  EXPECT_GT(ocr::EstimateSkewDegrees(d), 0.0);
+}
+
+TEST(OcrSkewTest, RoundedEqualGapsPickTheLowestElementIndex) {
+  // Two left edges one ulp apart just below 64 give the same rounded gap
+  // from a right edge just below 0, because the gap lies in a coarser
+  // binade than the edges. The sweep meets them in left-edge order, so the
+  // element with the larger edge and the lower index comes second and must
+  // still win the tie.
+  doc::AtomicElement a;
+  a.text = "w";
+  a.bbox = {-10.0, 0.0, 9.9, 25.0};
+  const double right = a.bbox.right();
+  double hi = 64.0;
+  double lo = std::nextafter(hi, 0.0);
+  for (int k = 0; k < 64 && hi - right != lo - right; ++k) {
+    hi = lo;
+    lo = std::nextafter(hi, 0.0);
+  }
+  ASSERT_EQ(hi - right, lo - right) << "no rounded tie below 64";
+  ASSERT_LT(lo, hi);
+
+  doc::Document d;
+  d.width = 400;
+  d.height = 400;
+  for (int row = 0; row < 4; ++row) {
+    const double y = 100.0 * row;
+    a.bbox.y = y;
+    d.elements.push_back(a);
+    doc::AtomicElement b = a;
+    b.bbox = {hi, y - 4.0, 10.0, 25.0};  // lower index, above a
+    d.elements.push_back(b);
+    b.bbox = {lo, y + 4.0, 10.0, 25.0};  // same rounded gap, below a
+    d.elements.push_back(b);
+  }
+  ExpectSameSkew(d, "rounded tie");
+  EXPECT_LT(ocr::EstimateSkewDegrees(d), 0.0);
 }
 
 TEST(OcrLayoutTest, TwoSeparatedLinesBecomeTwoBlocks) {

@@ -12,7 +12,9 @@
 #include "datasets/pretrained.hpp"
 #include "doc/serialization.hpp"
 #include "eval/metrics.hpp"
+#include "nlp/analyzer.hpp"
 #include "ocr/ocr.hpp"
+#include "util/rng.hpp"
 
 namespace vs2 {
 namespace {
@@ -307,6 +309,98 @@ TEST(PipelineQualityTest, CleanPostersExtractAccurately) {
   EXPECT_GT(total.F1(), 0.8) << "P=" << total.Precision()
                              << " R=" << total.Recall();
 }
+
+// ---------------------------------------------------------- Analyze golden --
+
+/// FNV-1a over every field of every token and every chunk of the analyses
+/// VS2-Select builds for a document's text-bearing leaf blocks (same block
+/// text and element order as `core::SelectEntities`). The hashes were
+/// recorded before the analyzer's lexicon and fuzzy matching were
+/// reimplemented; any change to a tag, sense or chunk moves them.
+struct AnalyzeGoldenCase {
+  doc::DatasetId dataset;
+  uint64_t hash;
+};
+
+void PrintTo(const AnalyzeGoldenCase& c, std::ostream* os) {
+  *os << doc::DatasetName(c.dataset);
+}
+
+class AnalyzeGoldenTest : public ::testing::TestWithParam<AnalyzeGoldenCase> {};
+
+void AppendField(std::string* out, std::string_view field) {
+  out->append(field);
+  out->push_back('\x1f');
+}
+
+TEST_P(AnalyzeGoldenTest, BlockAnnotationsMatchRecordedHash) {
+  const doc::DatasetId dataset = GetParam().dataset;
+  core::Vs2 vs2(dataset, datasets::PretrainedEmbedding(),
+                core::DefaultConfigFor(dataset));
+  datasets::GeneratorConfig gc;
+  gc.num_documents = 10;
+  gc.seed = 4242;
+  doc::Corpus corpus = datasets::Generate(dataset, gc);
+
+  std::string record;
+  size_t blocks = 0;
+  for (const doc::Document& d : corpus.documents) {
+    auto result = vs2.Process(d);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const doc::Document& observed = result->observed;
+    for (size_t leaf : result->tree.Leaves()) {
+      std::vector<size_t> text_indices;
+      for (size_t i : result->tree.node(leaf).element_indices) {
+        if (observed.elements[i].is_text()) text_indices.push_back(i);
+      }
+      if (text_indices.empty()) continue;
+      std::vector<size_t> ordered = doc::ReadingOrder(observed, text_indices);
+      std::string joined;
+      for (size_t i : ordered) {
+        if (!joined.empty()) joined.push_back(' ');
+        joined += observed.elements[i].text;
+      }
+      nlp::AnalyzedText analyzed = nlp::Analyze(joined, ordered);
+      ++blocks;
+      for (const nlp::Token& t : analyzed.tokens) {
+        AppendField(&record, t.text);
+        AppendField(&record, t.lower);
+        AppendField(&record, t.stem);
+        AppendField(&record, nlp::PosName(t.pos));
+        AppendField(&record, nlp::NerClassName(t.ner));
+        AppendField(&record, t.is_stopword ? "S" : "-");
+        AppendField(&record, t.has_geocode ? "G" : "-");
+        AppendField(&record, t.is_timex ? "T" : "-");
+        for (const std::string& h : t.hypernyms) AppendField(&record, h);
+        AppendField(&record, "|");
+        for (const std::string& v : t.verb_senses) AppendField(&record, v);
+        AppendField(&record, "|");
+        AppendField(&record, std::to_string(t.element_index));
+        record.push_back('\n');
+      }
+      for (const nlp::Chunk& c : analyzed.chunks) {
+        AppendField(&record, nlp::ChunkKindName(c.kind));
+        AppendField(&record, std::to_string(c.begin));
+        AppendField(&record, std::to_string(c.end));
+        record.push_back('\n');
+      }
+      record.push_back('\x1e');
+    }
+  }
+  ASSERT_GT(blocks, 0u);
+  EXPECT_EQ(util::Fnv1a64(record), GetParam().hash)
+      << doc::DatasetName(dataset) << ": " << blocks << " blocks, "
+      << record.size() << " bytes";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Datasets, AnalyzeGoldenTest,
+    ::testing::Values(
+        AnalyzeGoldenCase{doc::DatasetId::kD1TaxForms, 0xf528688d19441058ULL},
+        AnalyzeGoldenCase{doc::DatasetId::kD2EventPosters,
+                          0xa6bda5936d53bc5cULL},
+        AnalyzeGoldenCase{doc::DatasetId::kD3RealEstateFlyers,
+                          0x99e0bdc0b0194f4dULL}));
 
 // ------------------------------------------------------------ WeightTuner --
 

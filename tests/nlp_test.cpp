@@ -159,6 +159,58 @@ TEST(LexiconTest, GazetteersAnswer) {
   EXPECT_FALSE(lex.IsFirstName("xyzzy"));
 }
 
+TEST(LexiconTest, ClassesAgreeWithEveryPredicate) {
+  const Lexicon& lex = Lexicon::Get();
+  using Predicate = bool (Lexicon::*)(const std::string&) const;
+  const std::vector<std::pair<Lexicon::Class, Predicate>> tables = {
+      {Lexicon::kFirstName, &Lexicon::IsFirstName},
+      {Lexicon::kLastName, &Lexicon::IsLastName},
+      {Lexicon::kOrganizationWord, &Lexicon::IsOrganizationWord},
+      {Lexicon::kOrganizationSuffix, &Lexicon::IsOrganizationSuffix},
+      {Lexicon::kPersonTitle, &Lexicon::IsPersonTitle},
+      {Lexicon::kCity, &Lexicon::IsCity},
+      {Lexicon::kStateName, &Lexicon::IsStateName},
+      {Lexicon::kStreetSuffix, &Lexicon::IsStreetSuffix},
+      {Lexicon::kMonth, &Lexicon::IsMonth},
+      {Lexicon::kWeekday, &Lexicon::IsWeekday},
+      {Lexicon::kTimeWord, &Lexicon::IsTimeWord},
+      {Lexicon::kCommonNoun, &Lexicon::IsCommonNoun},
+      {Lexicon::kVerb, &Lexicon::IsVerb},
+      {Lexicon::kAdjective, &Lexicon::IsAdjective},
+      {Lexicon::kAdverb, &Lexicon::IsAdverb},
+      {Lexicon::kDeterminer, &Lexicon::IsDeterminer},
+      {Lexicon::kPreposition, &Lexicon::IsPreposition},
+      {Lexicon::kConjunction, &Lexicon::IsConjunction},
+      {Lexicon::kPronoun, &Lexicon::IsPronoun},
+      {Lexicon::kModal, &Lexicon::IsModal},
+      {Lexicon::kStopword, &Lexicon::IsStopword},
+  };
+  std::vector<std::string> words = lex.Words();
+  ASSERT_GT(words.size(), 500u);
+  uint32_t seen = 0;
+  for (const std::string& w : words) {
+    uint32_t classes = lex.Classes(w);
+    EXPECT_NE(classes, 0u) << w;  // every listed word is in some table
+    seen |= classes;
+    for (const auto& [bit, is] : tables) {
+      EXPECT_EQ((classes & bit) != 0, (lex.*is)(w)) << w << " bit " << bit;
+    }
+  }
+  EXPECT_EQ(seen, (1u << tables.size()) - 1);  // every table is non-empty
+  // Misses: unknown words, wrong case, uppercase state codes (their own
+  // table), near misses and the empty string.
+  for (const char* miss :
+       {"xyzzy", "James", "OH", "oh", "januar", "mondays", "", "the "}) {
+    const std::string word = miss;
+    EXPECT_EQ(lex.Classes(word), 0u) << word;
+    for (const auto& [bit, is] : tables) EXPECT_FALSE((lex.*is)(word)) << word;
+  }
+  // Words in several tables carry every bit.
+  EXPECT_EQ(lex.Classes("thomas"), Lexicon::kFirstName | Lexicon::kLastName);
+  EXPECT_EQ(lex.Classes("may"), Lexicon::kMonth | Lexicon::kModal);
+  EXPECT_EQ(lex.Classes("today"), Lexicon::kTimeWord | Lexicon::kAdverb);
+}
+
 TEST(LexiconTest, VerbSensesIncludePaperClasses) {
   const Lexicon& lex = Lexicon::Get();
   auto& hosted = lex.VerbSenses("hosted");

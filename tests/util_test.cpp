@@ -6,6 +6,7 @@
 #include <cstring>
 #include <set>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -511,6 +512,73 @@ TEST(StringsTest, LevenshteinKnownValues) {
   EXPECT_EQ(util::Levenshtein("", "abc"), 3u);
   EXPECT_EQ(util::Levenshtein("same", "same"), 0u);
   EXPECT_EQ(util::Levenshtein("january", "tanuary"), 1u);
+}
+
+TEST(StringsTest, WithinOneEditMatchesLevenshteinExhaustively) {
+  // Every string of length 0-6 over a 3-letter alphabet, every ordered pair.
+  std::vector<std::string> all = {""};
+  for (size_t begin = 0, len = 1; len <= 6; ++len) {
+    size_t end = all.size();
+    for (size_t i = begin; i < end; ++i) {
+      for (char c : {'a', 'b', 'c'}) all.push_back(all[i] + c);
+    }
+    begin = end;
+  }
+  ASSERT_EQ(all.size(), 1093u);
+  size_t within = 0;
+  for (const std::string& a : all) {
+    for (const std::string& b : all) {
+      bool expected = util::Levenshtein(a, b) <= 1;
+      ASSERT_EQ(util::WithinOneEdit(a, b), expected) << a << " vs " << b;
+      within += expected ? 1 : 0;
+    }
+  }
+  EXPECT_GT(within, all.size());  // the positive side is exercised too
+}
+
+TEST(StringsTest, WithinOneEditMatchesLevenshteinOnAnalyzerVocabulary) {
+  // The words the analyzer matches fuzzily: months, weekdays and the sense
+  // verbs. Every single deletion, substitution and insertion of each, and
+  // adjacent transpositions (two edits), against every word of the list.
+  const std::vector<std::string> words = {
+      "january",   "february",   "march",     "april",     "august",
+      "september", "october",    "november",  "december",  "monday",
+      "tuesday",   "wednesday",  "thursday",  "friday",    "saturday",
+      "sunday",    "hosted",     "hosting",   "organized", "organizing",
+      "presented", "presenting", "sponsored", "featuring", "featured",
+      "curated",   "directed",   "produced"};
+  const std::string alphabet = "abcdefghijklmnopqrstuvwxyz0158 .";
+  for (const std::string& w : words) {
+    std::vector<std::string> edits;
+    for (size_t i = 0; i <= w.size(); ++i) {
+      if (i < w.size()) {
+        edits.push_back(w.substr(0, i) + w.substr(i + 1));
+        if (i + 1 < w.size()) {
+          std::string swapped = w;
+          std::swap(swapped[i], swapped[i + 1]);
+          edits.push_back(swapped);
+        }
+      }
+      for (char c : alphabet) {
+        if (i < w.size()) {
+          std::string sub = w;
+          sub[i] = c;
+          edits.push_back(sub);
+        }
+        edits.push_back(w.substr(0, i) + c + w.substr(i));
+      }
+    }
+    for (const std::string& e : edits) {
+      for (const std::string& other : words) {
+        ASSERT_EQ(util::WithinOneEdit(e, other),
+                  util::Levenshtein(e, other) <= 1)
+            << e << " vs " << other;
+        ASSERT_EQ(util::WithinOneEdit(other, e),
+                  util::Levenshtein(other, e) <= 1)
+            << other << " vs " << e;
+      }
+    }
+  }
 }
 
 TEST(StringsTest, FormatAndReplace) {
