@@ -16,10 +16,10 @@
 /// scripts and CI use it as a non-interactive smoke probe. Exits 1 when
 /// the daemon cannot be reached or stops answering.
 ///
-/// The dashboard scrapes the wire JSON with a minimal field extractor
-/// rather than a full parser: every value it renders is produced by our
-/// own `SnapshotJson()`/`HandleAdmin` serializers, whose shapes are pinned
-/// by tests/serve_test.cpp.
+/// The dashboard reads the wire JSON with the codebase's one JSON reader
+/// (`util::JsonTape`); every value it renders is produced by our own
+/// `SnapshotJson()`/`HandleAdmin` serializers, whose shapes are pinned by
+/// tests/serve_test.cpp. A field that is missing renders as 0.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -34,11 +34,11 @@
 #include <string>
 #include <vector>
 
-#include "fleet/snapshot.hpp"
+#include "util/json.hpp"
 
 using std::string;
-using vs2::fleet::JsonNumber;
-using vs2::fleet::JsonObject;
+using vs2::util::JsonTape;
+using vs2::util::JsonValue;
 
 namespace {
 
@@ -106,18 +106,10 @@ bool Query(int fd, string* buffer, const string& cmd, string* response) {
          ReadLine(fd, buffer, response);
 }
 
-// ------------------------------------------------------ JSON scraping ----
-// Shape-pinned extraction (see the file comment): `fleet::JsonNumber` and
-// `fleet::JsonObject` pull numbers and balanced sub-objects out of our own
-// serializers' output; `RawValue` adds the raw text of any other value.
+// ------------------------------------------------------ JSON reading -----
 
-/// Value text following `"key":` at or after `from`; empty when absent.
-string RawValue(const string& json, const string& key, size_t from = 0) {
-  string needle = "\"" + key + "\":";
-  size_t at = json.find(needle, from);
-  if (at == string::npos) return "";
-  return json.substr(at + needle.size());
-}
+/// The number at `value`, 0 when absent (the frames print every counter).
+double Num(const JsonValue& value) { return value.NumberOr(0.0); }
 
 /// One rolling window of one windowed histogram as rendered by
 /// SnapshotJson().
@@ -125,43 +117,41 @@ struct Window {
   double rate = 0, p50 = 0, p95 = 0, p99 = 0;
 };
 
-Window ParseWindow(const string& hist_json, const char* label) {
-  Window window;
-  string object = JsonObject(hist_json, label);
-  if (object.empty()) return window;
-  window.rate = JsonNumber(object, "rate_per_sec");
-  window.p50 = JsonNumber(object, "p50");
-  window.p95 = JsonNumber(object, "p95");
-  window.p99 = JsonNumber(object, "p99");
-  return window;
+Window ParseWindow(const JsonValue& histogram, const char* label) {
+  JsonValue window = histogram[label];
+  return Window{Num(window["rate_per_sec"]), Num(window["p50"]),
+                Num(window["p95"]), Num(window["p99"])};
 }
 
-double WindowCount(const string& counter_json, const char* label) {
-  string object = JsonObject(counter_json, label);
-  return object.empty() ? 0.0 : JsonNumber(object, "count");
+/// "accepting" when the health answer's status is "ok".
+bool StatusOk(const JsonValue& health) {
+  return health["status"].StringOr("") == "ok";
 }
 
-void PrintFrame(const string& stats, const string& health, const string& slow,
-                const string& endpoint) {
+/// The first 12 hex digits of an entry's trace id, or "?".
+string TracePrefix(const JsonValue& entry) {
+  std::string_view trace = entry["trace_id"].StringOr("");
+  return trace.empty() ? "?" : string(trace.substr(0, 12));
+}
+
+void PrintFrame(const JsonValue& stats, const JsonValue& health,
+                const JsonValue& slow, const string& endpoint) {
   const char* kLabels[3] = {"10s", "1m", "5m"};
 
   std::printf("vs2_top — %s    uptime %.1fs    connections %.0f    [%s]\n",
-              endpoint.c_str(), JsonNumber(health, "uptime_sec"),
-              JsonNumber(health, "connections"),
-              RawValue(health, "status").rfind("\"ok\"", 0) == 0 ? "accepting"
-                                                                 : "DRAINING");
+              endpoint.c_str(), Num(health["uptime_sec"]),
+              Num(health["connections"]),
+              StatusOk(health) ? "accepting" : "DRAINING");
   std::printf("queue %2.0f/%-3.0f  in-flight %2.0f  jobs %2.0f  "
               "completed %.0f  rejected %.0f\n\n",
-              JsonNumber(health, "queue_depth"),
-              JsonNumber(health, "queue_capacity"),
-              JsonNumber(health, "in_flight"), JsonNumber(health, "jobs"),
-              JsonNumber(health, "completed"), JsonNumber(health, "rejected"));
+              Num(health["queue_depth"]), Num(health["queue_capacity"]),
+              Num(health["in_flight"]), Num(health["jobs"]),
+              Num(health["completed"]), Num(health["rejected"]));
 
-  string windowed = JsonObject(stats, "windowed_histograms");
-  string extract = JsonObject(windowed, "serve.extract");
-  string counters = JsonObject(stats, "windowed_counters");
-  string hits = JsonObject(counters, "serve.cache_hits");
-  string misses = JsonObject(counters, "serve.cache_misses");
+  JsonValue extract = stats["windowed_histograms"]["serve.extract"];
+  JsonValue counters = stats["windowed_counters"];
+  JsonValue hits = counters["serve.cache_hits"];
+  JsonValue misses = counters["serve.cache_misses"];
 
   std::printf("  serve.extract %12s %10s %10s\n", kLabels[0], kLabels[1],
               kLabels[2]);
@@ -177,8 +167,8 @@ void PrintFrame(const string& stats, const string& health, const string& slow,
               windows[1].p99, windows[2].p99);
   std::printf("  hit rate   ");
   for (int w = 0; w < 3; ++w) {
-    double hit = WindowCount(hits, kLabels[w]);
-    double miss = WindowCount(misses, kLabels[w]);
+    double hit = Num(hits[kLabels[w]]["count"]);
+    double miss = Num(misses[kLabels[w]]["count"]);
     double total = hit + miss;
     if (total > 0) {
       std::printf(w == 0 ? "%12.2f " : "%9.2f ", hit / total);
@@ -190,43 +180,21 @@ void PrintFrame(const string& stats, const string& health, const string& slow,
 
   // `slow` is already sorted slowest-first; show the top entries with a
   // compact stage breakdown.
-  size_t at = 0;
   int shown = 0;
-  while (shown < 5) {
-    size_t entry_at = slow.find("{\"trace_id\":", at);
-    if (entry_at == string::npos) break;
-    string trace = RawValue(slow, "trace_id", entry_at);
-    trace = trace.size() > 1 ? trace.substr(1, 12) : "?";
-    string status = RawValue(slow, "status", entry_at);
-    size_t status_end = status.find('"', 1);
-    status = status_end == string::npos ? "?"
-                                        : status.substr(1, status_end - 1);
-    std::printf("  %s…  %8.2f ms  %-18s ", trace.c_str(),
-                JsonNumber(slow, "total_ms", entry_at), status.c_str());
-    string stages = JsonObject(slow, "stages", entry_at);
-    if (stages.empty()) {
-      // stages is an array; JsonObject() only finds {...} — scan it manually.
-      string raw = RawValue(slow, "stages", entry_at);
-      size_t end = raw.find(']');
-      stages = end == string::npos ? "" : raw.substr(0, end + 1);
-    }
-    size_t stage_at = 0;
+  for (JsonValue entry : slow["slow"]) {
+    if (shown == 5) break;
+    std::string_view status = entry["status"].StringOr("?");
+    std::printf("  %s…  %8.2f ms  %-18s ", TracePrefix(entry).c_str(),
+                Num(entry["total_ms"]), string(status).c_str());
     bool first = true;
-    while (true) {
-      size_t name_at = stages.find("{\"name\":\"", stage_at);
-      if (name_at == string::npos) break;
-      size_t name_start = name_at + 9;
-      size_t name_end = stages.find('"', name_start);
-      if (name_end == string::npos) break;
+    for (JsonValue stage : entry["stages"]) {
+      if (!stage["name"].is_string()) continue;
       std::printf("%s%s %.1f", first ? "" : ", ",
-                  stages.substr(name_start, name_end - name_start).c_str(),
-                  JsonNumber(stages, "ms", name_end));
+                  string(stage["name"].string()).c_str(), Num(stage["ms"]));
       first = false;
-      stage_at = name_end;
     }
     std::printf("\n");
     ++shown;
-    at = entry_at + 1;
   }
   if (shown == 0) std::printf("  (none recorded)\n");
 }
@@ -235,29 +203,26 @@ void PrintFrame(const string& stats, const string& health, const string& slow,
 /// from `fleet::Router::MergedStatsJson`) as a per-shard table. Percentiles
 /// stay per-shard — they cannot be merged across histograms — while the
 /// counter totals fold.
-void PrintFleetFrame(const string& stats, const string& health,
-                     const string& slow, const string& endpoint) {
-  string fleet = JsonObject(stats, "fleet");
+void PrintFleetFrame(const JsonValue& stats, const JsonValue& health,
+                     const JsonValue& slow, const string& endpoint) {
+  JsonValue fleet = stats["fleet"];
   std::printf(
       "vs2_top — fleet %s    uptime %.1fs    shards %.0f/%.0f live    "
       "connections %.0f    [%s]\n",
-      endpoint.c_str(), JsonNumber(fleet, "uptime_sec"),
-      JsonNumber(fleet, "live"),
-      JsonNumber(fleet, "shards"), JsonNumber(fleet, "connections"),
-      RawValue(health, "status").rfind("\"ok\"", 0) == 0 ? "accepting"
-                                                         : "DOWN");
-  string router = JsonObject(fleet, "router");
+      endpoint.c_str(), Num(fleet["uptime_sec"]), Num(fleet["live"]),
+      Num(fleet["shards"]), Num(fleet["connections"]),
+      StatusOk(health) ? "accepting" : "DOWN");
+  JsonValue router = fleet["router"];
   std::printf(
       "router: forwarded %.0f  rerouted %.0f  shed %.0f  unavailable %.0f  "
       "markdowns %.0f  restarts %.0f\n",
-      JsonNumber(router, "forwarded"), JsonNumber(router, "rerouted"),
-      JsonNumber(router, "shed_to_sibling"), JsonNumber(router, "unavailable"),
-      JsonNumber(router, "markdowns"), JsonNumber(router, "restarts"));
-  string triage = JsonObject(router, "triage");
-  if (!triage.empty()) {
-    double skip = JsonNumber(triage, "skip");
-    double fast = JsonNumber(triage, "fast");
-    double full = JsonNumber(triage, "full");
+      Num(router["forwarded"]), Num(router["rerouted"]),
+      Num(router["shed_to_sibling"]), Num(router["unavailable"]),
+      Num(router["markdowns"]), Num(router["restarts"]));
+  if (JsonValue triage = router["triage"]; triage.is_object()) {
+    double skip = Num(triage["skip"]);
+    double fast = Num(triage["fast"]);
+    double full = Num(triage["full"]);
     double total = skip + fast + full;
     std::printf(
         "triage: skip %.0f  fast %.0f  full %.0f  (%.0f%% off the full "
@@ -265,57 +230,37 @@ void PrintFleetFrame(const string& stats, const string& health,
         skip, fast, full,
         total > 0 ? 100.0 * (skip + fast) / total : 0.0);
   }
-  string totals = JsonObject(fleet, "totals");
+  JsonValue totals = fleet["totals"];
   std::printf(
       "fleet:  %.1f req/s (10s)  hit rate %.2f  queue %.0f  in-flight %.0f  "
       "completed %.0f  rejected %.0f\n\n",
-      JsonNumber(totals, "req_per_sec_10s"), JsonNumber(totals, "hit_rate"),
-      JsonNumber(totals, "queue_depth"), JsonNumber(totals, "in_flight"),
-      JsonNumber(totals, "completed"), JsonNumber(totals, "rejected"));
+      Num(totals["req_per_sec_10s"]), Num(totals["hit_rate"]),
+      Num(totals["queue_depth"]), Num(totals["in_flight"]),
+      Num(totals["completed"]), Num(totals["rejected"]));
 
   std::printf(
       "  shard  state        queue  infl  req/s   hit    p50ms    p95ms    "
       "p99ms  endpoint\n");
-  size_t at = stats.find("\"shards\":[");
   int shown = 0;
-  while (at != string::npos) {
-    size_t entry_at = stats.find("{\"shard\":", at);
-    if (entry_at == string::npos) break;
-    string state = RawValue(stats, "state", entry_at);
-    size_t state_end = state.find('"', 1);
-    state = state_end == string::npos ? "?" : state.substr(1, state_end - 1);
-    string shard_endpoint = RawValue(stats, "endpoint", entry_at);
-    size_t ep_end = shard_endpoint.find('"', 1);
-    shard_endpoint = ep_end == string::npos
-                         ? "?"
-                         : shard_endpoint.substr(1, ep_end - 1);
+  for (JsonValue shard : stats["shards"]) {
     std::printf(
         "  %5.0f  %-11s %6.0f %5.0f %6.1f  %4.2f %8.2f %8.2f %8.2f  %s\n",
-        JsonNumber(stats, "shard", entry_at), state.c_str(),
-        JsonNumber(stats, "queue_depth", entry_at),
-        JsonNumber(stats, "in_flight", entry_at),
-        JsonNumber(stats, "req_per_sec_10s", entry_at),
-        JsonNumber(stats, "hit_rate", entry_at),
-        JsonNumber(stats, "p50_ms", entry_at),
-        JsonNumber(stats, "p95_ms", entry_at),
-        JsonNumber(stats, "p99_ms", entry_at), shard_endpoint.c_str());
+        Num(shard["shard"]), string(shard["state"].StringOr("?")).c_str(),
+        Num(shard["queue_depth"]), Num(shard["in_flight"]),
+        Num(shard["req_per_sec_10s"]), Num(shard["hit_rate"]),
+        Num(shard["p50_ms"]), Num(shard["p95_ms"]), Num(shard["p99_ms"]),
+        string(shard["endpoint"].StringOr("?")).c_str());
     ++shown;
-    at = entry_at + 1;
   }
   if (shown == 0) std::printf("  (no shards reported)\n");
 
   std::printf("\nslowest requests (all shards):\n");
-  size_t slow_at = 0;
   int slow_shown = 0;
-  while (slow_shown < 5) {
-    size_t entry_at = slow.find("{\"trace_id\":", slow_at);
-    if (entry_at == string::npos) break;
-    string trace = RawValue(slow, "trace_id", entry_at);
-    trace = trace.size() > 1 ? trace.substr(1, 12) : "?";
-    std::printf("  %s…  %8.2f ms\n", trace.c_str(),
-                JsonNumber(slow, "total_ms", entry_at));
+  for (JsonValue entry : slow["slow"]) {
+    if (slow_shown == 5) break;
+    std::printf("  %s…  %8.2f ms\n", TracePrefix(entry).c_str(),
+                Num(entry["total_ms"]));
     ++slow_shown;
-    slow_at = entry_at + 1;
   }
   if (slow_shown == 0) std::printf("  (none recorded)\n");
 }
@@ -366,6 +311,7 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, HandleSignal);
 
   string buffer, stats, health, slow;
+  JsonTape stats_tape, health_tape, slow_tape;
   while (g_quit == 0) {
     if (!Query(fd, &buffer, "stats", &stats) ||
         !Query(fd, &buffer, "health", &health) ||
@@ -376,12 +322,18 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (!once) std::printf("\x1b[H\x1b[2J");  // home + clear
+    // A failed parse leaves a tape absent: that frame prints zeros.
+    (void)stats_tape.Parse(stats);
+    (void)health_tape.Parse(health);
+    (void)slow_tape.Parse(slow);
     // A fleet router's merged stats announce themselves with a "fleet"
     // envelope; a single daemon gets the classic frame.
-    if (stats.rfind("{\"fleet\":", 0) == 0) {
-      PrintFleetFrame(stats, health, slow, endpoint);
+    if (stats_tape.root()["fleet"].present()) {
+      PrintFleetFrame(stats_tape.root(), health_tape.root(), slow_tape.root(),
+                      endpoint);
     } else {
-      PrintFrame(stats, health, slow, endpoint);
+      PrintFrame(stats_tape.root(), health_tape.root(), slow_tape.root(),
+                 endpoint);
     }
     std::fflush(stdout);
     if (once) break;

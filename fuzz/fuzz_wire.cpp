@@ -7,7 +7,13 @@
 //   - exactly one line comes back (an embedded newline would break framing
 //     for every later response on the connection);
 //   - the response is itself one of the two documented shapes (an
-//     "extractions" object or an "error" object).
+//     "extractions" object or an "error" object), possibly behind the
+//     `trace_id` echo;
+//   - a document line that was served answers exactly the same when its
+//     canonical spelling is sent as the fleet router sends it,
+//     `{"canonical":<doc::ToJson>}` — the cache-hit path, which must
+//     accept the router's bytes and never parse them (DESIGN.md §15.1).
+// seed-canonical-*.txt pin marked lines, canonical and not.
 //
 // The pipeline/service pair is built once; per-input cost is dominated by
 // parser rejections, which is the overwhelmingly common fuzz case.
@@ -19,6 +25,7 @@
 
 #include "core/pipeline.hpp"
 #include "datasets/pretrained.hpp"
+#include "doc/serialization.hpp"
 #include "serve/daemon.hpp"
 #include "serve/service.hpp"
 
@@ -62,11 +69,30 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                    response.c_str());
       std::abort();
     }
-    bool ok_shape = response.rfind("{\"extractions\":", 0) == 0;
-    bool err_shape = response.rfind("{\"error\":", 0) == 0;
+    // The trace echo leads with its own fields, then the payload's.
+    std::string payload = response;
+    if (response.rfind("{\"trace_id\":", 0) == 0) {
+      size_t end = response.find("],");
+      if (end != std::string::npos) payload = "{" + response.substr(end + 2);
+    }
+    bool ok_shape = payload.rfind("{\"extractions\":", 0) == 0;
+    bool err_shape = payload.rfind("{\"error\":", 0) == 0;
     if (!ok_shape && !err_shape) {
       std::fprintf(stderr, "response has unknown shape: \"%s\"\n",
                    response.c_str());
+      std::abort();
+    }
+
+    if (response.rfind("{\"extractions\":", 0) != 0) continue;
+    vs2::Result<vs2::doc::Document> document = vs2::doc::FromJson(line);
+    if (!document.ok()) continue;  // a served canonical line itself
+    std::string marked =
+        "{\"canonical\":" + vs2::doc::ToJson(*document) + "}";
+    std::string again = daemon.HandleLine(marked);
+    if (again != response) {
+      std::fprintf(stderr,
+                   "canonical line answers differently: \"%s\" vs \"%s\"\n",
+                   again.c_str(), response.c_str());
       std::abort();
     }
   }

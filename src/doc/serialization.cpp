@@ -1,453 +1,395 @@
 #include "doc/serialization.hpp"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
-#include <map>
-#include <memory>
-#include <vector>
+#include <initializer_list>
 
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace vs2::doc {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Minimal JSON value model + recursive-descent parser.
+// Writer. The canonical spelling is produced per request and hashed
+// (serve/content_address.hpp), so it is appended straight to the caller's
+// reused buffer, numbers through `std::to_chars`, with no temporaries per
+// field.
 // ---------------------------------------------------------------------------
 
-struct JsonValue;
-using JsonObject = std::map<std::string, std::shared_ptr<JsonValue>>;
-using JsonArray = std::vector<std::shared_ptr<JsonValue>>;
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  JsonArray array;
-  JsonObject object;
-};
-
-// Nesting cap for the recursive-descent parser. Document JSON is at most
-// three levels deep; anything deeper is hostile input (`[[[[...` otherwise
-// overflows the stack — found by fuzz_doc_json).
-constexpr int kMaxJsonDepth = 64;
-
-// Strings must be well-formed UTF-8: correct continuation bytes, no overlong
-// encodings, no encoded surrogates, nothing past U+10FFFF. The pipeline
-// treats text as byte sequences, so a permissive parser here would let
-// ill-formed bytes flow all the way into extraction output.
-bool IsValidUtf8(const std::string& s) {
-  size_t i = 0;
-  while (i < s.size()) {
-    unsigned char b = static_cast<unsigned char>(s[i]);
-    size_t len;
-    unsigned min_code;
-    unsigned code;
-    if (b < 0x80) {
-      ++i;
-      continue;
-    } else if ((b & 0xE0) == 0xC0) {
-      len = 2; min_code = 0x80; code = b & 0x1Fu;
-    } else if ((b & 0xF0) == 0xE0) {
-      len = 3; min_code = 0x800; code = b & 0x0Fu;
-    } else if ((b & 0xF8) == 0xF0) {
-      len = 4; min_code = 0x10000; code = b & 0x07u;
-    } else {
-      return false;  // continuation byte or 0xF8+ lead
-    }
-    if (i + len > s.size()) return false;
-    for (size_t k = 1; k < len; ++k) {
-      unsigned char cont = static_cast<unsigned char>(s[i + k]);
-      if ((cont & 0xC0) != 0x80) return false;
-      code = (code << 6) | (cont & 0x3Fu);
-    }
-    if (code < min_code) return false;                 // overlong
-    if (code >= 0xD800 && code <= 0xDFFF) return false;  // surrogate
-    if (code > 0x10FFFF) return false;
-    i += len;
-  }
-  return true;
+template <typename Int>
+void PutInt(std::string* out, Int v) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
+/// `v` (integral, |v| < 1e15) as `%.0f` spells it, "-0" included.
+char* IntegralChars(char* buf, double v) {
+  if (v == 0.0) {
+    if (std::signbit(v)) *buf++ = '-';
+    *buf++ = '0';
+    return buf;
+  }
+  return std::to_chars(buf, buf + 24, static_cast<long long>(v)).ptr;
+}
 
-  Result<std::shared_ptr<JsonValue>> Parse() {
-    VS2_ASSIGN_OR_RETURN(std::shared_ptr<JsonValue> v, ParseValue(0));
-    SkipWs();
-    if (pos_ != text_.size()) {
-      return Status::InvalidArgument("trailing characters after JSON value");
+/// True when a `%.6g` spelling names an integer: a positive exponent (six
+/// significant digits of a value of 1e6 or more), or neither a fraction
+/// nor an exponent ("123457", "1.23457e+06"; not "0.5", "1e-05", "nan").
+bool SpellsInteger(const char* begin, const char* end) {
+  bool fraction = false;
+  for (const char* p = begin; p < end; ++p) {
+    if (*p == 'e') return p[1] == '+';
+    if (*p == '.' || *p == 'n' || *p == 'i') fraction = true;
+  }
+  return !fraction;
+}
+
+void PutEscaped(std::string* out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out->push_back('"');
+  size_t run = 0;  // start of the pending run of bytes that need no escape
+  for (size_t i = 0; i < s.size(); ++i) {
+    unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\t': *out += "\\t"; break;
+      case '\r': *out += "\\r"; break;
+      default: {
+        const char esc[6] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out->append(esc, sizeof(esc));
+      }
     }
-    return v;
+  }
+  out->append(s.data() + run, s.size() - run);
+  out->push_back('"');
+}
+
+/// `%.1f` via to_chars (same digits, by the standard's definition).
+void PutFixed1(std::string* out, double v) {
+  char buf[400];  // %.1f of DBL_MAX is 311 characters
+  char* end =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed, 1).ptr;
+  out->append(buf, end);
+}
+
+void PutBox(std::string* out, const util::BBox& box) {
+  *out += "{\"x\":";
+  PutFixed1(out, box.x);
+  *out += ",\"y\":";
+  PutFixed1(out, box.y);
+  *out += ",\"w\":";
+  PutFixed1(out, box.width);
+  *out += ",\"h\":";
+  PutFixed1(out, box.height);
+  out->push_back('}');
+}
+
+/// The canonical number spelling (`AppendCanonicalNumber`).
+void PutNumber(std::string* out, double v) {
+  char buf[32];
+  char* end;
+  if (v == std::floor(v) && std::abs(v) < 1e15) {
+    end = IntegralChars(buf, v);
+  } else {
+    end = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                        6)
+              .ptr;
+    // `%.6g` would name an integer: spell the rounded value out in full,
+    // so that re-reading it does not land on a different spelling
+    // (1234567.5 -> "1234568", not "1.23457e+06" -> "1234570").
+    if (SpellsInteger(buf, end)) {
+      double rounded = std::nearbyint(v);
+      if (std::abs(rounded) < 1e15) end = IntegralChars(buf, rounded);
+    }
+  }
+  out->append(buf, end);
+}
+
+// ---------------------------------------------------------------------------
+// Schema decoding from the tape. Each object's members are visited once and
+// dropped into the slot of their key; unknown keys are ignored. Missing
+// keys default; present-but-wrong-type keys are schema violations and
+// reject the document (a lenient fallback here silently zeroes geometry,
+// which surfaces as a confusing downstream pipeline failure instead of a
+// parse error at the service boundary).
+// ---------------------------------------------------------------------------
+
+/// Key -> slot table of one object schema.
+class Schema {
+ public:
+  Schema(std::initializer_list<std::string_view> keys) : keys_(keys) {}
+
+  int size() const { return static_cast<int>(keys_.size()); }
+  const char* name(int slot) const {
+    return keys_[static_cast<size_t>(slot)].data();
+  }
+
+  /// Slot of `key`, or -1 for a key outside the schema.
+  int Find(std::string_view key) const {
+    for (int slot = 0; slot < size(); ++slot) {
+      if (keys_[static_cast<size_t>(slot)] == key) return slot;
+    }
+    return -1;
   }
 
  private:
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Result<std::shared_ptr<JsonValue>> ParseValue(int depth) {
-    if (depth > kMaxJsonDepth) {
-      return Status::InvalidArgument("JSON nesting too deep");
-    }
-    SkipWs();
-    if (pos_ >= text_.size()) {
-      return Status::InvalidArgument("unexpected end of JSON");
-    }
-    char c = text_[pos_];
-    if (c == '{') return ParseObject(depth);
-    if (c == '[') return ParseArray(depth);
-    if (c == '"') return ParseString();
-    if (c == 't' || c == 'f') return ParseBool();
-    if (c == 'n') return ParseNull();
-    return ParseNumber();
-  }
-
-  Result<std::shared_ptr<JsonValue>> ParseObject(int depth) {
-    auto v = std::make_shared<JsonValue>();
-    v->kind = JsonValue::Kind::kObject;
-    if (!Consume('{')) return Status::InvalidArgument("expected '{'");
-    SkipWs();
-    if (Consume('}')) return v;
-    while (true) {
-      VS2_ASSIGN_OR_RETURN(std::shared_ptr<JsonValue> key, ParseString());
-      if (!Consume(':')) return Status::InvalidArgument("expected ':'");
-      VS2_ASSIGN_OR_RETURN(std::shared_ptr<JsonValue> val,
-                           ParseValue(depth + 1));
-      if (v->object.count(key->string) != 0) {
-        return Status::InvalidArgument("duplicate key \"" + key->string +
-                                       "\" in object");
-      }
-      v->object[key->string] = val;
-      if (Consume(',')) continue;
-      if (Consume('}')) break;
-      return Status::InvalidArgument("expected ',' or '}' in object");
-    }
-    return v;
-  }
-
-  Result<std::shared_ptr<JsonValue>> ParseArray(int depth) {
-    auto v = std::make_shared<JsonValue>();
-    v->kind = JsonValue::Kind::kArray;
-    if (!Consume('[')) return Status::InvalidArgument("expected '['");
-    SkipWs();
-    if (Consume(']')) return v;
-    while (true) {
-      VS2_ASSIGN_OR_RETURN(std::shared_ptr<JsonValue> item,
-                           ParseValue(depth + 1));
-      v->array.push_back(item);
-      if (Consume(',')) continue;
-      if (Consume(']')) break;
-      return Status::InvalidArgument("expected ',' or ']' in array");
-    }
-    return v;
-  }
-
-  // Reads the four hex digits of a \u escape (the backslash and 'u' already
-  // consumed) into a code unit.
-  Result<unsigned> ParseHex4() {
-    if (pos_ + 4 > text_.size()) {
-      return Status::InvalidArgument("truncated \\u escape");
-    }
-    unsigned code = 0;
-    for (int k = 0; k < 4; ++k) {
-      char h = text_[pos_++];
-      code <<= 4;
-      if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-      else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-      else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-      else return Status::InvalidArgument("bad \\u escape digit");
-    }
-    return code;
-  }
-
-  Result<std::shared_ptr<JsonValue>> ParseString() {
-    SkipWs();
-    if (!Consume('"')) return Status::InvalidArgument("expected '\"'");
-    auto v = std::make_shared<JsonValue>();
-    v->kind = JsonValue::Kind::kString;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') {
-        if (!IsValidUtf8(v->string)) {
-          return Status::InvalidArgument("string is not valid UTF-8");
-        }
-        return v;
-      }
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        char esc = text_[pos_++];
-        switch (esc) {
-          case '"': v->string.push_back('"'); break;
-          case '\\': v->string.push_back('\\'); break;
-          case '/': v->string.push_back('/'); break;
-          case 'n': v->string.push_back('\n'); break;
-          case 't': v->string.push_back('\t'); break;
-          case 'r': v->string.push_back('\r'); break;
-          case 'b': v->string.push_back('\b'); break;
-          case 'f': v->string.push_back('\f'); break;
-          case 'u': {
-            VS2_ASSIGN_OR_RETURN(unsigned code, ParseHex4());
-            if (code >= 0xDC00 && code <= 0xDFFF) {
-              return Status::InvalidArgument("lone low surrogate in \\u escape");
-            }
-            if (code >= 0xD800 && code <= 0xDBFF) {
-              // High surrogate: a \uXXXX low surrogate must follow; the pair
-              // decodes to one supplementary-plane code point (RFC 8259 §7).
-              if (pos_ + 2 > text_.size() || text_[pos_] != '\\' ||
-                  text_[pos_ + 1] != 'u') {
-                return Status::InvalidArgument(
-                    "high surrogate not followed by \\u escape");
-              }
-              pos_ += 2;
-              VS2_ASSIGN_OR_RETURN(unsigned low, ParseHex4());
-              if (low < 0xDC00 || low > 0xDFFF) {
-                return Status::InvalidArgument(
-                    "high surrogate not followed by low surrogate");
-              }
-              code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-            }
-            if (code < 0x80) {
-              v->string.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              v->string.push_back(static_cast<char>(0xC0 | (code >> 6)));
-              v->string.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else if (code < 0x10000) {
-              v->string.push_back(static_cast<char>(0xE0 | (code >> 12)));
-              v->string.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              v->string.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
-              v->string.push_back(static_cast<char>(0xF0 | (code >> 18)));
-              v->string.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
-              v->string.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              v->string.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            }
-            break;
-          }
-          default:
-            return Status::InvalidArgument("unknown escape sequence");
-        }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        // RFC 8259 §7: control characters must be escaped.
-        return Status::InvalidArgument(
-            "raw control character in string (must be escaped)");
-      } else {
-        v->string.push_back(c);
-      }
-    }
-    return Status::InvalidArgument("unterminated string");
-  }
-
-  Result<std::shared_ptr<JsonValue>> ParseBool() {
-    auto v = std::make_shared<JsonValue>();
-    v->kind = JsonValue::Kind::kBool;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      v->boolean = true;
-      pos_ += 4;
-      return v;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      v->boolean = false;
-      pos_ += 5;
-      return v;
-    }
-    return Status::InvalidArgument("bad literal");
-  }
-
-  Result<std::shared_ptr<JsonValue>> ParseNull() {
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return std::make_shared<JsonValue>();
-    }
-    return Status::InvalidArgument("bad literal");
-  }
-
-  Result<std::shared_ptr<JsonValue>> ParseNumber() {
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Status::InvalidArgument("expected number");
-    auto v = std::make_shared<JsonValue>();
-    v->kind = JsonValue::Kind::kNumber;
-    // strtod instead of stod: underflow to a subnormal is a value, not an
-    // error (stod throws out_of_range on it, which would reject legitimate
-    // tiny numbers the writer itself can produce). The pre-scan above
-    // limits the token to [0-9+-.eE], so strtod's hex-float and inf/nan
-    // forms are unreachable.
-    std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    v->number = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
-      return Status::InvalidArgument("malformed number");
-    }
-    // No document field is meaningful as NaN or ±Inf; overflow (e.g.
-    // "1e999") would poison every downstream geometry computation.
-    if (!std::isfinite(v->number)) {
-      return Status::InvalidArgument("non-finite number");
-    }
-    return v;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
+  std::vector<std::string_view> keys_;
 };
 
-// ---------------------------------------------------------------------------
-// Writer helpers.
-// ---------------------------------------------------------------------------
-
-void AppendEscaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\n': out->append("\\n"); break;
-      case '\t': out->append("\\t"); break;
-      case '\r': out->append("\\r"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out->append(util::Format("\\u%04x", c));
-        } else {
-          out->push_back(c);
-        }
+/// One object's members slotted by a `Schema`, read with typed accessors.
+/// A schema violation is recorded (the first one wins) and the accessor
+/// returns its in-range fallback, so narrowing casts of what it returns
+/// stay defined; `status()` reports the violation once the object is read.
+template <size_t N>
+class Fields {
+ public:
+  Fields(const Schema& schema, const util::JsonValue& object)
+      : schema_(schema) {
+    for (auto it = object.begin(), end = object.end(); it != end; ++it) {
+      int slot = schema.Find(it.key());
+      if (slot >= 0) value_[slot] = *it;
     }
   }
-  out->push_back('"');
-}
 
-std::string Num(double v) {
-  // Round-trippable compact formatting.
-  if (v == std::floor(v) && std::abs(v) < 1e15) {
-    return util::Format("%.0f", v);
+  const util::JsonValue& operator[](int slot) const { return value_[slot]; }
+
+  double Num(int slot, double fallback) {
+    const util::JsonValue& v = value_[slot];
+    if (v.is_number()) return v.number();
+    if (v.present()) Violation(slot, "\" must be a number");
+    return fallback;
   }
-  return util::Format("%.6g", v);
-}
 
-// Typed field accessors. Missing keys default; present-but-wrong-type keys
-// are schema violations and reject the document (a lenient fallback here
-// silently zeroes geometry, which surfaces as a confusing downstream
-// pipeline failure instead of a parse error at the service boundary).
-Result<double> GetNum(const JsonObject& obj, const char* key,
-                      double fallback) {
-  auto it = obj.find(key);
-  if (it == obj.end()) return fallback;
-  if (it->second->kind != JsonValue::Kind::kNumber) {
-    return Status::InvalidArgument(std::string("field \"") + key +
-                                   "\" must be a number");
+  // Range-checked variant for fields that are cast to narrower integer
+  // types after parsing: a float->int cast of an out-of-range double is
+  // undefined behavior, so the bound check must happen on the double.
+  double NumIn(int slot, double fallback, double min, double max) {
+    double v = Num(slot, fallback);
+    if (v >= min && v <= max) return v;
+    if (error_.empty()) {
+      error_ = util::Format("field \"%s\" out of range [%g, %g]: %g",
+                            schema_.name(slot), min, max, v);
+    }
+    return fallback;
   }
-  return it->second->number;
-}
 
-Result<std::string> GetStr(const JsonObject& obj, const char* key,
-                           const std::string& fallback = "") {
-  auto it = obj.find(key);
-  if (it == obj.end()) return fallback;
-  if (it->second->kind != JsonValue::Kind::kString) {
-    return Status::InvalidArgument(std::string("field \"") + key +
-                                   "\" must be a string");
+  std::string_view Str(int slot, std::string_view fallback) {
+    const util::JsonValue& v = value_[slot];
+    if (v.is_string()) return v.string();
+    if (v.present()) Violation(slot, "\" must be a string");
+    return fallback;
   }
-  return it->second->string;
+
+  bool Bool(int slot, bool fallback) {
+    const util::JsonValue& v = value_[slot];
+    if (v.is_bool()) return v.boolean();
+    if (v.present()) Violation(slot, "\" must be a boolean");
+    return fallback;
+  }
+
+  Status status() const {
+    return error_.empty() ? Status::OK() : Status::InvalidArgument(error_);
+  }
+
+ private:
+  void Violation(int slot, const char* what) {
+    if (error_.empty()) {
+      error_ = std::string("field \"") + schema_.name(slot) + what;
+    }
+  }
+
+  const Schema& schema_;
+  util::JsonValue value_[N];
+  std::string error_;
+};
+
+enum DocKey {
+  kId, kDataset, kFormat, kWidth, kHeight, kCaptureQuality, kTemplateId,
+  kRotation, kElements, kAnnotations, kDocKeys
+};
+enum ElementKey {
+  kKind, kImageId, kText, kFontSize, kBold, kItalic, kR, kG, kB, kX, kY, kW,
+  kH, kMarkupHint, kLineId, kElementKeys
+};
+enum AnnotationKey { kEntity, kAnnX, kAnnY, kAnnW, kAnnH, kAnnText, kAnnKeys };
+
+const Schema& DocSchema() {
+  static const Schema schema{"id", "dataset", "format", "width", "height",
+                             "capture_quality", "template_id",
+                             "rotation_degrees", "elements", "annotations"};
+  return schema;
 }
 
-// Range-checked variant for fields that are cast to narrower integer types
-// after parsing: a float→int cast of an out-of-range double is undefined
-// behavior, so the bound check must happen on the double.
-Result<double> GetNumIn(const JsonObject& obj, const char* key,
-                        double fallback, double min, double max) {
-  VS2_ASSIGN_OR_RETURN(double v, GetNum(obj, key, fallback));
-  if (v < min || v > max) {
+const Schema& ElementSchema() {
+  static const Schema schema{"kind", "image_id", "text", "font_size", "bold",
+                             "italic", "r", "g", "b", "x", "y", "w", "h",
+                             "markup_hint", "line_id"};
+  return schema;
+}
+
+const Schema& AnnotationSchema() {
+  static const Schema schema{"entity", "x", "y", "w", "h", "text"};
+  return schema;
+}
+
+// The double precision limit (2^53) bounds ids well below uint64_t's
+// range; beyond it the JSON number could not name a distinct id anyway.
+constexpr double kMaxExactId = 9007199254740992.0;  // 2^53
+constexpr double kMaxInt = 2147483647.0;
+
+Status DecodeElement(const util::JsonValue& item, AtomicElement* el) {
+  if (!item.is_object()) {
+    return Status::InvalidArgument("element must be an object");
+  }
+  Fields<kElementKeys> e(ElementSchema(), item);
+  el->bbox = util::BBox{e.Num(kX, 0), e.Num(kY, 0), e.Num(kW, 0),
+                        e.Num(kH, 0)};
+  std::string_view kind = e.Str(kKind, "text");
+  VS2_RETURN_IF_ERROR(e.status());
+  if (kind == "text") {
+    el->kind = ElementKind::kText;
+    el->style.font_size = e.Num(kFontSize, 12.0);
+    el->style.bold = e.Bool(kBold, false);
+    el->style.italic = e.Bool(kItalic, false);
+    el->style.color = util::Rgb{static_cast<uint8_t>(e.NumIn(kR, 0, 0, 255)),
+                                static_cast<uint8_t>(e.NumIn(kG, 0, 0, 255)),
+                                static_cast<uint8_t>(e.NumIn(kB, 0, 0, 255))};
+    el->color = util::RgbToLab(el->style.color);
+    el->text.assign(e.Str(kText, ""));
+  } else if (kind == "image") {
+    el->kind = ElementKind::kImage;
+    el->image_id =
+        static_cast<uint64_t>(e.NumIn(kImageId, 0, 0, kMaxExactId));
+    el->color = util::RgbToLab(util::SlateGray());
+  } else {
+    return Status::InvalidArgument("element kind must be text or image");
+  }
+  el->markup_hint =
+      static_cast<int>(e.NumIn(kMarkupHint, 0, -kMaxInt, kMaxInt));
+  if (el->is_text()) {
+    el->line_id = static_cast<int>(e.NumIn(kLineId, -1, -kMaxInt, kMaxInt));
+  }
+  return e.status();
+}
+
+Status DecodeAnnotation(const util::JsonValue& item, Annotation* ann) {
+  if (!item.is_object()) {
+    return Status::InvalidArgument("annotation must be an object");
+  }
+  Fields<kAnnKeys> a(AnnotationSchema(), item);
+  ann->entity_type.assign(a.Str(kEntity, ""));
+  ann->bbox = util::BBox{a.Num(kAnnX, 0), a.Num(kAnnY, 0), a.Num(kAnnW, 0),
+                         a.Num(kAnnH, 0)};
+  ann->text.assign(a.Str(kAnnText, ""));
+  return a.status();
+}
+
+/// Checks an optional array field against its size cap; absent is empty.
+Status CheckArray(const util::JsonValue& array, const char* field,
+                  size_t limit) {
+  if (!array.present()) return Status::OK();
+  if (!array.is_array()) {
+    return Status::InvalidArgument(std::string("field \"") + field +
+                                   "\" must be an array");
+  }
+  if (array.size() > limit) {
     return Status::InvalidArgument(util::Format(
-        "field \"%s\" out of range [%g, %g]: %g", key, min, max, v));
+        "too many %s: %zu (limit %zu)", field, array.size(), limit));
   }
-  return v;
-}
-
-Result<bool> GetBool(const JsonObject& obj, const char* key, bool fallback) {
-  auto it = obj.find(key);
-  if (it == obj.end()) return fallback;
-  if (it->second->kind != JsonValue::Kind::kBool) {
-    return Status::InvalidArgument(std::string("field \"") + key +
-                                   "\" must be a boolean");
-  }
-  return it->second->boolean;
+  return Status::OK();
 }
 
 }  // namespace
 
-void AppendJson(const Document& d, std::string* buffer) {
-  std::string& out = *buffer;
-  out += "{";
-  out += util::Format("\"id\":%llu,", static_cast<unsigned long long>(d.id));
-  out += util::Format("\"dataset\":%d,", static_cast<int>(d.dataset));
-  out += util::Format("\"format\":%d,", static_cast<int>(d.format));
-  out += "\"width\":" + Num(d.width) + ",\"height\":" + Num(d.height) + ",";
-  out += "\"capture_quality\":" + Num(d.capture_quality) + ",";
-  out += util::Format("\"template_id\":%d,", d.template_id);
-  out += "\"rotation_degrees\":" + Num(d.rotation_degrees) + ",";
+void AppendCanonicalNumber(double v, std::string* out) { PutNumber(out, v); }
 
-  out += "\"elements\":[";
+void AppendJson(const Document& d, std::string* out) {
+  *out += "{\"id\":";
+  PutInt(out, d.id);
+  *out += ",\"dataset\":";
+  PutInt(out, static_cast<int>(d.dataset));
+  *out += ",\"format\":";
+  PutInt(out, static_cast<int>(d.format));
+  *out += ",\"width\":";
+  PutNumber(out, d.width);
+  *out += ",\"height\":";
+  PutNumber(out, d.height);
+  *out += ",\"capture_quality\":";
+  PutNumber(out, d.capture_quality);
+  *out += ",\"template_id\":";
+  PutInt(out, d.template_id);
+  *out += ",\"rotation_degrees\":";
+  PutNumber(out, d.rotation_degrees);
+
+  *out += ",\"elements\":[";
   for (size_t i = 0; i < d.elements.size(); ++i) {
     const AtomicElement& el = d.elements[i];
-    if (i > 0) out.push_back(',');
-    out += "{";
-    out += el.is_text() ? "\"kind\":\"text\"," : "\"kind\":\"image\",";
+    if (i > 0) out->push_back(',');
     if (el.is_text()) {
-      out += "\"text\":";
-      AppendEscaped(&out, el.text);
-      out += ",";
-      out += "\"font_size\":" + Num(el.style.font_size) + ",";
-      out += std::string("\"bold\":") + (el.style.bold ? "true," : "false,");
-      out += std::string("\"italic\":") +
-             (el.style.italic ? "true," : "false,");
-      out += util::Format("\"r\":%d,\"g\":%d,\"b\":%d,", el.style.color.r,
-                          el.style.color.g, el.style.color.b);
+      *out += "{\"kind\":\"text\",\"text\":";
+      PutEscaped(out, el.text);
+      *out += ",\"font_size\":";
+      PutNumber(out, el.style.font_size);
+      if (el.style.bold) {
+        *out += ",\"bold\":true";
+      } else {
+        *out += ",\"bold\":false";
+      }
+      if (el.style.italic) {
+        *out += ",\"italic\":true,\"r\":";
+      } else {
+        *out += ",\"italic\":false,\"r\":";
+      }
+      PutInt(out, el.style.color.r);
+      *out += ",\"g\":";
+      PutInt(out, el.style.color.g);
+      *out += ",\"b\":";
+      PutInt(out, el.style.color.b);
+      *out += ",\"x\":";
     } else {
-      out += util::Format("\"image_id\":%llu,",
-                          static_cast<unsigned long long>(el.image_id));
+      *out += "{\"kind\":\"image\",\"image_id\":";
+      PutInt(out, el.image_id);
+      *out += ",\"x\":";
     }
-    out += "\"x\":" + Num(el.bbox.x) + ",\"y\":" + Num(el.bbox.y) +
-           ",\"w\":" + Num(el.bbox.width) + ",\"h\":" + Num(el.bbox.height) +
-           ",";
-    out += util::Format("\"markup_hint\":%d,\"line_id\":%d", el.markup_hint,
-                        el.line_id);
-    out += "}";
+    PutNumber(out, el.bbox.x);
+    *out += ",\"y\":";
+    PutNumber(out, el.bbox.y);
+    *out += ",\"w\":";
+    PutNumber(out, el.bbox.width);
+    *out += ",\"h\":";
+    PutNumber(out, el.bbox.height);
+    *out += ",\"markup_hint\":";
+    PutInt(out, el.markup_hint);
+    *out += ",\"line_id\":";
+    PutInt(out, el.line_id);
+    out->push_back('}');
   }
-  out += "],";
 
-  out += "\"annotations\":[";
+  *out += "],\"annotations\":[";
   for (size_t i = 0; i < d.annotations.size(); ++i) {
     const Annotation& a = d.annotations[i];
-    if (i > 0) out.push_back(',');
-    out += "{\"entity\":";
-    AppendEscaped(&out, a.entity_type);
-    out += ",\"x\":" + Num(a.bbox.x) + ",\"y\":" + Num(a.bbox.y) +
-           ",\"w\":" + Num(a.bbox.width) + ",\"h\":" + Num(a.bbox.height) +
-           ",\"text\":";
-    AppendEscaped(&out, a.text);
-    out += "}";
+    if (i > 0) out->push_back(',');
+    *out += "{\"entity\":";
+    PutEscaped(out, a.entity_type);
+    *out += ",\"x\":";
+    PutNumber(out, a.bbox.x);
+    *out += ",\"y\":";
+    PutNumber(out, a.bbox.y);
+    *out += ",\"w\":";
+    PutNumber(out, a.bbox.width);
+    *out += ",\"h\":";
+    PutNumber(out, a.bbox.height);
+    *out += ",\"text\":";
+    PutEscaped(out, a.text);
+    out->push_back('}');
   }
-  out += "]}";
+  *out += "]}";
 }
 
 std::string ToJson(const Document& d) {
@@ -456,164 +398,101 @@ std::string ToJson(const Document& d) {
   return out;
 }
 
-Result<Document> FromJson(const std::string& json) {
-  JsonParser parser(json);
-  VS2_ASSIGN_OR_RETURN(std::shared_ptr<JsonValue> root, parser.Parse());
-  if (root->kind != JsonValue::Kind::kObject) {
+Result<Document> FromJsonValue(const util::JsonValue& root) {
+  if (!root.is_object()) {
     return Status::InvalidArgument("document JSON must be an object");
   }
-  const JsonObject& obj = root->object;
-
-  // The double precision limit (2^53) bounds ids well below uint64_t's
-  // range; beyond it the JSON number could not name a distinct id anyway.
-  constexpr double kMaxExactId = 9007199254740992.0;  // 2^53
-  constexpr double kMaxInt = 2147483647.0;
+  Fields<kDocKeys> f(DocSchema(), root);
 
   Document d;
-  VS2_ASSIGN_OR_RETURN(double id, GetNumIn(obj, "id", 0, 0, kMaxExactId));
-  d.id = static_cast<uint64_t>(id);
-  VS2_ASSIGN_OR_RETURN(double dataset_num,
-                       GetNumIn(obj, "dataset", 2, -kMaxInt, kMaxInt));
-  int dataset = static_cast<int>(dataset_num);
+  d.id = static_cast<uint64_t>(f.NumIn(kId, 0, 0, kMaxExactId));
+  int dataset = static_cast<int>(f.NumIn(kDataset, 2, -kMaxInt, kMaxInt));
+  VS2_RETURN_IF_ERROR(f.status());
   if (dataset < 1 || dataset > 3) {
     return Status::InvalidArgument("dataset must be 1, 2 or 3");
   }
   d.dataset = static_cast<DatasetId>(dataset);
-  VS2_ASSIGN_OR_RETURN(double format_num,
-                       GetNumIn(obj, "format", 2, -kMaxInt, kMaxInt));
-  int format = static_cast<int>(format_num);
+  int format = static_cast<int>(f.NumIn(kFormat, 2, -kMaxInt, kMaxInt));
+  VS2_RETURN_IF_ERROR(f.status());
   if (format < 0 || format > 3) {
     return Status::InvalidArgument("format must be in [0, 3]");
   }
   d.format = static_cast<DocumentFormat>(format);
-  VS2_ASSIGN_OR_RETURN(d.width, GetNum(obj, "width", 0.0));
-  VS2_ASSIGN_OR_RETURN(d.height, GetNum(obj, "height", 0.0));
+  d.width = f.Num(kWidth, 0.0);
+  d.height = f.Num(kHeight, 0.0);
+  VS2_RETURN_IF_ERROR(f.status());
   if (d.width <= 0.0 || d.height <= 0.0) {
     return Status::InvalidArgument("document must have positive page size");
   }
-  VS2_ASSIGN_OR_RETURN(d.capture_quality,
-                       GetNum(obj, "capture_quality", 1.0));
-  VS2_ASSIGN_OR_RETURN(double template_id,
-                       GetNumIn(obj, "template_id", -1, -kMaxInt, kMaxInt));
-  d.template_id = static_cast<int>(template_id);
-  VS2_ASSIGN_OR_RETURN(d.rotation_degrees,
-                       GetNum(obj, "rotation_degrees", 0.0));
+  d.capture_quality = f.Num(kCaptureQuality, 1.0);
+  d.template_id =
+      static_cast<int>(f.NumIn(kTemplateId, -1, -kMaxInt, kMaxInt));
+  d.rotation_degrees = f.Num(kRotation, 0.0);
+  VS2_RETURN_IF_ERROR(f.status());
 
-  auto elements_it = obj.find("elements");
-  if (elements_it != obj.end()) {
-    if (elements_it->second->kind != JsonValue::Kind::kArray) {
-      return Status::InvalidArgument("field \"elements\" must be an array");
-    }
-    if (elements_it->second->array.size() > kMaxElementsPerDocument) {
-      return Status::InvalidArgument(util::Format(
-          "too many elements: %zu (limit %zu)",
-          elements_it->second->array.size(), kMaxElementsPerDocument));
-    }
-    for (const auto& item : elements_it->second->array) {
-      if (item->kind != JsonValue::Kind::kObject) {
-        return Status::InvalidArgument("element must be an object");
-      }
-      const JsonObject& e = item->object;
-      util::BBox bbox;
-      VS2_ASSIGN_OR_RETURN(bbox.x, GetNum(e, "x", 0));
-      VS2_ASSIGN_OR_RETURN(bbox.y, GetNum(e, "y", 0));
-      VS2_ASSIGN_OR_RETURN(bbox.width, GetNum(e, "w", 0));
-      VS2_ASSIGN_OR_RETURN(bbox.height, GetNum(e, "h", 0));
-      VS2_ASSIGN_OR_RETURN(std::string kind, GetStr(e, "kind", "text"));
-      if (kind == "text") {
-        TextStyle style;
-        VS2_ASSIGN_OR_RETURN(style.font_size, GetNum(e, "font_size", 12.0));
-        VS2_ASSIGN_OR_RETURN(style.bold, GetBool(e, "bold", false));
-        VS2_ASSIGN_OR_RETURN(style.italic, GetBool(e, "italic", false));
-        VS2_ASSIGN_OR_RETURN(double r, GetNumIn(e, "r", 0, 0, 255));
-        VS2_ASSIGN_OR_RETURN(double g, GetNumIn(e, "g", 0, 0, 255));
-        VS2_ASSIGN_OR_RETURN(double b, GetNumIn(e, "b", 0, 0, 255));
-        style.color = util::Rgb{static_cast<uint8_t>(r),
-                                static_cast<uint8_t>(g),
-                                static_cast<uint8_t>(b)};
-        VS2_ASSIGN_OR_RETURN(std::string text, GetStr(e, "text"));
-        AtomicElement el = MakeTextElement(std::move(text), bbox, style);
-        VS2_ASSIGN_OR_RETURN(double markup, GetNumIn(e, "markup_hint", 0,
-                                                     -kMaxInt, kMaxInt));
-        el.markup_hint = static_cast<int>(markup);
-        VS2_ASSIGN_OR_RETURN(double line_id, GetNumIn(e, "line_id", -1,
-                                                      -kMaxInt, kMaxInt));
-        el.line_id = static_cast<int>(line_id);
-        d.elements.push_back(std::move(el));
-      } else if (kind == "image") {
-        VS2_ASSIGN_OR_RETURN(double image_id,
-                             GetNumIn(e, "image_id", 0, 0, kMaxExactId));
-        AtomicElement el = MakeImageElement(static_cast<uint64_t>(image_id),
-                                            bbox, util::SlateGray());
-        VS2_ASSIGN_OR_RETURN(double markup, GetNumIn(e, "markup_hint", 0,
-                                                     -kMaxInt, kMaxInt));
-        el.markup_hint = static_cast<int>(markup);
-        d.elements.push_back(std::move(el));
-      } else {
-        return Status::InvalidArgument("element kind must be text or image");
-      }
-    }
+  VS2_RETURN_IF_ERROR(
+      CheckArray(f[kElements], "elements", kMaxElementsPerDocument));
+  d.elements.resize(f[kElements].size());
+  size_t i = 0;
+  for (util::JsonValue item : f[kElements]) {
+    VS2_RETURN_IF_ERROR(DecodeElement(item, &d.elements[i++]));
   }
 
-  auto ann_it = obj.find("annotations");
-  if (ann_it != obj.end()) {
-    if (ann_it->second->kind != JsonValue::Kind::kArray) {
-      return Status::InvalidArgument(
-          "field \"annotations\" must be an array");
-    }
-    if (ann_it->second->array.size() > kMaxAnnotationsPerDocument) {
-      return Status::InvalidArgument(util::Format(
-          "too many annotations: %zu (limit %zu)",
-          ann_it->second->array.size(), kMaxAnnotationsPerDocument));
-    }
-    for (const auto& item : ann_it->second->array) {
-      if (item->kind != JsonValue::Kind::kObject) {
-        return Status::InvalidArgument("annotation must be an object");
-      }
-      const JsonObject& a = item->object;
-      Annotation ann;
-      VS2_ASSIGN_OR_RETURN(ann.entity_type, GetStr(a, "entity"));
-      VS2_ASSIGN_OR_RETURN(ann.bbox.x, GetNum(a, "x", 0));
-      VS2_ASSIGN_OR_RETURN(ann.bbox.y, GetNum(a, "y", 0));
-      VS2_ASSIGN_OR_RETURN(ann.bbox.width, GetNum(a, "w", 0));
-      VS2_ASSIGN_OR_RETURN(ann.bbox.height, GetNum(a, "h", 0));
-      VS2_ASSIGN_OR_RETURN(ann.text, GetStr(a, "text"));
-      d.annotations.push_back(std::move(ann));
-    }
+  VS2_RETURN_IF_ERROR(CheckArray(f[kAnnotations], "annotations",
+                                 kMaxAnnotationsPerDocument));
+  d.annotations.resize(f[kAnnotations].size());
+  i = 0;
+  for (util::JsonValue item : f[kAnnotations]) {
+    VS2_RETURN_IF_ERROR(DecodeAnnotation(item, &d.annotations[i++]));
   }
   return d;
 }
 
+Result<Document> FromJson(const std::string& json) {
+  // One tape per thread, reused: steady-state parses allocate nothing but
+  // the document itself.
+  thread_local util::JsonTape tape;
+  Status parsed = tape.Parse(json);
+  Result<Document> document =
+      parsed.ok() ? FromJsonValue(tape.root()) : Result<Document>(parsed);
+  tape.Shrink();
+  return document;
+}
+
 std::string ExtractionsToJson(const std::vector<ExtractionRecord>& extractions,
                               size_t blocks, size_t interest_points) {
-  std::string out = "{\"extractions\":[";
+  std::string json;
+  std::string* out = &json;
+  *out += "{\"extractions\":[";
   bool first = true;
   for (const ExtractionRecord& ex : extractions) {
-    if (!first) out.push_back(',');
+    if (!first) out->push_back(',');
     first = false;
-    out += "{\"entity\":";
-    AppendEscaped(&out, ex.entity);
-    out += ",\"text\":";
-    AppendEscaped(&out, ex.text);
-    out += util::Format(
-        ",\"block\":{\"x\":%.1f,\"y\":%.1f,\"w\":%.1f,\"h\":%.1f}",
-        ex.block.x, ex.block.y, ex.block.width, ex.block.height);
-    out += util::Format(
-        ",\"span\":{\"x\":%.1f,\"y\":%.1f,\"w\":%.1f,\"h\":%.1f}}",
-        ex.span.x, ex.span.y, ex.span.width, ex.span.height);
+    *out += "{\"entity\":";
+    PutEscaped(out, ex.entity);
+    *out += ",\"text\":";
+    PutEscaped(out, ex.text);
+    *out += ",\"block\":";
+    PutBox(out, ex.block);
+    *out += ",\"span\":";
+    PutBox(out, ex.span);
+    out->push_back('}');
   }
-  out += util::Format("],\"blocks\":%zu,\"interest_points\":%zu}", blocks,
-                      interest_points);
-  return out;
+  *out += "],\"blocks\":";
+  PutInt(out, blocks);
+  *out += ",\"interest_points\":";
+  PutInt(out, interest_points);
+  out->push_back('}');
+  return json;
 }
 
 std::string ErrorToJson(const std::string& source, const Status& status) {
-  std::string out = "{\"error\":";
-  AppendEscaped(&out, status.ToString());
-  out += ",\"source\":";
-  AppendEscaped(&out, source);
-  out += "}";
-  return out;
+  std::string json = "{\"error\":";
+  PutEscaped(&json, status.ToString());
+  json += ",\"source\":";
+  PutEscaped(&json, source);
+  json.push_back('}');
+  return json;
 }
 
 }  // namespace vs2::doc

@@ -27,8 +27,15 @@
 /// }
 /// ```
 /// A hand-rolled writer/parser keeps the library dependency-free; the
-/// parser accepts any standards-compliant JSON for this schema and rejects
-/// malformed input with a descriptive `Status`.
+/// parser (the tape reader of util/json.hpp) accepts any RFC 8259 JSON for
+/// this schema and rejects malformed input with a descriptive `Status`.
+///
+/// `ToJson` is the *canonical* spelling: fixed key order, no whitespace,
+/// numbers as `AppendCanonicalNumber` spells them. It is a fixed point —
+/// `ToJson(FromJson(ToJson(d))) == ToJson(d)` for every document `FromJson`
+/// accepts — which is what lets the serving stack key caches on it and
+/// verify a client's canonical bytes by re-spelling them
+/// (serve/content_address.hpp, DESIGN.md §15.1).
 
 #include <cstddef>
 #include <string>
@@ -37,6 +44,10 @@
 #include "doc/document.hpp"
 #include "util/geometry.hpp"
 #include "util/status.hpp"
+
+namespace vs2::util {
+class JsonValue;
+}  // namespace vs2::util
 
 namespace vs2::doc {
 
@@ -49,10 +60,17 @@ inline constexpr size_t kMaxAnnotationsPerDocument = 10000;
 /// Serializes a document (elements + annotations + metadata) to JSON.
 std::string ToJson(const Document& document);
 
-/// Appends `ToJson(document)` to `buffer` without clearing it. Hot callers
+/// Appends `ToJson(document)` to `out` without clearing it. Hot callers
 /// (per-request cache canonicalization in serve/) reuse one buffer's
 /// capacity across requests instead of allocating a fresh string each time.
-void AppendJson(const Document& document, std::string* buffer);
+void AppendJson(const Document& document, std::string* out);
+
+/// Appends the canonical spelling of one number: `%.0f` when the value
+/// rounded to six significant digits is an integer below 1e15 (so
+/// 1234567.5 is "1234568", which reads back to itself, where `%.6g`'s
+/// "1.23457e+06" would read back as 1234570), `%.6g` otherwise. Written
+/// with `std::to_chars`, byte for byte what `snprintf` prints.
+void AppendCanonicalNumber(double v, std::string* out);
 
 /// Parses a document from JSON produced by `ToJson` (or any conforming
 /// producer). Unknown keys are ignored; missing optional keys default.
@@ -60,6 +78,10 @@ void AppendJson(const Document& document, std::string* buffer);
 /// wrong type, oversized element/annotation arrays — is rejected with a
 /// descriptive `kInvalidArgument`.
 Result<Document> FromJson(const std::string& json);
+
+/// As `FromJson`, for a value already on a parsed tape: the serving layer
+/// reads envelope keys and the document from one parse of a request line.
+Result<Document> FromJsonValue(const util::JsonValue& root);
 
 // ---------------------------------------------------------------------------
 // Extraction wire format — the response side of the interchange surface.

@@ -6,6 +6,7 @@
 #include "doc/serialization.hpp"
 #include "fleet/snapshot.hpp"
 #include "obs/log.hpp"
+#include "obs/trace.hpp"
 #include "serve/content_address.hpp"
 #include "serve/wire.hpp"
 #include "util/strings.hpp"
@@ -90,8 +91,8 @@ void Router::Stop() {
     }
   }
   {
-    sync::MutexLock lock(&test_conns_mu_);
-    test_conns_.clear();
+    sync::MutexLock lock(&test_session_mu_);
+    test_session_.reset();
   }
 }
 
@@ -118,19 +119,17 @@ Router::Stats Router::stats() const {
 }
 
 std::unique_ptr<serve::LineServer::ConnectionHandler> Router::NewConnection() {
-  // Each client connection carries its own upstream connections — the
-  // data path shares no sockets across threads, so forwards never lock.
   class Handler : public ConnectionHandler {
    public:
     explicit Handler(Router* router)
-        : router_(router), upstream_(router->shards_.size()) {}
+        : router_(router), session_(router->shards_.size()) {}
     std::string HandleLine(const std::string& line) override {
-      return router_->HandleLineOn(line, upstream_);
+      return router_->HandleLineOn(line, session_);
     }
 
    private:
     Router* router_;
-    std::vector<LineConn> upstream_;
+    Session session_;
   };
   return std::make_unique<Handler>(this);
 }
@@ -143,28 +142,34 @@ std::string Router::OversizedLineResponse(size_t max_line_bytes) {
 }
 
 std::string Router::HandleLine(const std::string& line) {
-  sync::MutexLock lock(&test_conns_mu_);
-  if (test_conns_.size() != shards_.size()) {
-    test_conns_ = std::vector<LineConn>(shards_.size());
-  }
-  return HandleLineOn(line, test_conns_);
+  sync::MutexLock lock(&test_session_mu_);
+  if (!test_session_) test_session_ = std::make_unique<Session>(shards_.size());
+  return HandleLineOn(line, *test_session_);
 }
 
-std::string Router::HandleLineOn(const std::string& line,
-                                 std::vector<LineConn>& upstream) {
-  std::string cmd;
-  switch (serve::FindTopLevelField(line, "cmd", &cmd)) {
-    case serve::FieldScan::kString:
-      return HandleAdmin(cmd, line);
-    case serve::FieldScan::kNonString:
-      return doc::ErrorToJson(
-          "<admin>",
-          Status::InvalidArgument(
-              "\"cmd\" must be a string: stats, health, slow or restart"));
-    case serve::FieldScan::kAbsent:
-      break;
+std::string Router::HandleLineOn(const std::string& line, Session& session) {
+  Status parsed = session.tape.Parse(line);
+  std::string response;
+  if (!parsed.ok()) {
+    sync::MutexLock lock(&mu_);
+    ++bad_document_;
+    response = doc::ErrorToJson(
+        "<request>",
+        Status::InvalidArgument("bad document JSON: " + parsed.ToString()));
+  } else if (util::JsonValue cmd = session.tape.root()["cmd"];
+             cmd.present()) {
+    response =
+        cmd.is_string()
+            ? HandleAdmin(cmd.string(), session.tape.root())
+            : doc::ErrorToJson(
+                  "<admin>",
+                  Status::InvalidArgument("\"cmd\" must be a string: stats, "
+                                          "health, slow or restart"));
+  } else {
+    response = RouteDocument(line, session.tape.root(), session);
   }
-  return RouteDocument(line, upstream);
+  session.tape.Shrink();
+  return response;
 }
 
 bool Router::Forward(size_t shard, const std::string& line,
@@ -205,20 +210,38 @@ void Router::NoteForwardFailure(size_t shard) {
 }
 
 std::string Router::RouteDocument(const std::string& line,
-                                  std::vector<LineConn>& upstream) {
+                                  const util::JsonValue& root,
+                                  Session& session) {
+  auto reject = [this](const Status& status) {
+    sync::MutexLock lock(&mu_);
+    ++bad_document_;
+    return doc::ErrorToJson("<request>", status);
+  };
+  // The canonical mark is the router's own claim to its workers; a client
+  // line carrying it is never forwarded as such.
+  if (root[serve::kCanonicalKey].present()) {
+    return reject(Status::InvalidArgument(
+        "\"canonical\" is the router's mark for its workers; send the "
+        "document itself"));
+  }
   // Parse to the same canonical form the workers' caches key on. The
   // router must never route on raw line bytes: two spellings of one
   // document (key order, whitespace, float formatting) would land on
   // different shards while the cache treats them as one entry.
-  auto parsed = doc::FromJson(line);
+  Result<doc::Document> parsed = doc::FromJsonValue(root);
   if (!parsed.ok()) {
-    sync::MutexLock lock(&mu_);
-    ++bad_document_;
-    return doc::ErrorToJson(
-        "<request>", Status::InvalidArgument("bad document JSON: " +
-                                             parsed.status().ToString()));
+    return reject(Status::InvalidArgument("bad document JSON: " +
+                                          parsed.status().ToString()));
   }
-  uint64_t key = serve::ContentAddress(*parsed);
+  // The trace id rides along on the canonical line, so it is checked here
+  // exactly as the worker would check it.
+  std::string_view trace_hex;
+  if (util::JsonValue trace = root["trace_id"]; trace.present()) {
+    trace_hex = trace.StringOr("");
+    obs::TraceContext context;
+    Status status = serve::ParseTraceId(trace_hex, &context);
+    if (!status.ok()) return reject(status);
+  }
 
   {
     // Router-side triage accounting (DESIGN.md §16): classify the document
@@ -231,6 +254,18 @@ std::string Router::RouteDocument(const std::string& line,
     sync::MutexLock lock(&mu_);
     ++triage_lanes_[static_cast<size_t>(lane)];
   }
+  std::string& forward = session.forward;
+  forward.clear();
+  serve::AppendCanonicalLineHead(trace_hex, &forward);
+  uint64_t key = serve::ContentAddressInto(*parsed, &forward);
+  forward.push_back('}');
+  // Canonical spelling can be far longer than the client's (every default
+  // spelled out: a bare `{}` element grows ~46x). A canonical line past the
+  // listener's own line cap goes out as the client's line instead, which
+  // the worker parses as before.
+  const std::string& upstream_line =
+      forward.size() <= options_.max_line_bytes ? forward : line;
+  std::vector<LineConn>& upstream = session.upstream;
 
   size_t primary, sibling;
   bool shed_primary;
@@ -256,7 +291,7 @@ std::string Router::RouteDocument(const std::string& line,
       sync::MutexLock lock(&mu_);
       ++shed_to_sibling_;
     }
-    if (Forward(sibling, line, upstream, &response) &&
+    if (Forward(sibling, upstream_line, upstream, &response) &&
         !serve::IsUnavailableResponse(response)) {
       sync::MutexLock lock(&mu_);
       ++forwarded_;
@@ -270,7 +305,7 @@ std::string Router::RouteDocument(const std::string& line,
   }
 
   // Tier 1: the primary owner.
-  if (Forward(primary, line, upstream, &response)) {
+  if (Forward(primary, upstream_line, upstream, &response)) {
     if (!serve::IsUnavailableResponse(response) || sibling == primary) {
       sync::MutexLock lock(&mu_);
       ++forwarded_;
@@ -282,7 +317,7 @@ std::string Router::RouteDocument(const std::string& line,
       ++shed_to_sibling_;
     }
     std::string sibling_response;
-    if (Forward(sibling, line, upstream, &sibling_response) &&
+    if (Forward(sibling, upstream_line, upstream, &sibling_response) &&
         !serve::IsUnavailableResponse(sibling_response)) {
       sync::MutexLock lock(&mu_);
       ++forwarded_;
@@ -298,7 +333,7 @@ std::string Router::RouteDocument(const std::string& line,
   // request to the sibling (deterministic pipeline: replay is safe).
   NoteForwardFailure(primary);
   if (sibling != primary &&
-      Forward(sibling, line, upstream, &response)) {
+      Forward(sibling, upstream_line, upstream, &response)) {
     sync::MutexLock lock(&mu_);
     if (serve::IsUnavailableResponse(response)) {
       ++unavailable_;
@@ -315,20 +350,20 @@ std::string Router::RouteDocument(const std::string& line,
 
 // ---------------------------------------------------------------- admin --
 
-std::string Router::HandleAdmin(const std::string& cmd,
-                                const std::string& line) {
+std::string Router::HandleAdmin(std::string_view cmd,
+                                const util::JsonValue& root) {
   if (cmd == "stats") return MergedStatsJson();
   if (cmd == "health") return RouterHealthJson();
   if (cmd == "slow") return MergedSlowJson();
   if (cmd == "restart") {
-    std::string shard_text;
-    if (serve::FindTopLevelField(line, "shard", &shard_text) !=
-        serve::FieldScan::kString) {
+    util::JsonValue shard_field = root["shard"];
+    if (!shard_field.is_string()) {
       return doc::ErrorToJson(
           "<admin>",
           Status::InvalidArgument(
               "restart needs a shard: {\"cmd\":\"restart\",\"shard\":\"N\"}"));
     }
+    std::string shard_text(shard_field.string());
     char* end = nullptr;
     long shard = std::strtol(shard_text.c_str(), &end, 10);
     if (end == shard_text.c_str() || *end != '\0' || shard < 0 ||
@@ -350,7 +385,7 @@ std::string Router::HandleAdmin(const std::string& cmd,
   }
   return doc::ErrorToJson(
       "<admin>",
-      Status::InvalidArgument("unknown cmd \"" + cmd +
+      Status::InvalidArgument("unknown cmd \"" + std::string(cmd) +
                               "\": expected stats, health, slow or restart"));
 }
 

@@ -7,7 +7,9 @@
 /// content address (`serve::ContentAddress` — the same hash the workers'
 /// result caches key on) over N shared-nothing worker daemons, so every
 /// document's cache entry lives on exactly one shard and warm-hit rate
-/// survives horizontal scale-out (DESIGN.md §15).
+/// survives horizontal scale-out (DESIGN.md §15). It forwards the
+/// canonical bytes it hashed as a canonical line (serve/wire.hpp), so a
+/// worker serves a cache hit without parsing the document again.
 ///
 /// **Routing tiers per document line** (hot-shard load shedding layered on
 /// the workers' admission queues):
@@ -55,6 +57,7 @@
 #include "fleet/worker.hpp"
 #include "serve/line_server.hpp"
 #include "triage/triage.hpp"
+#include "util/json.hpp"
 #include "util/status.hpp"
 #include "util/sync.hpp"
 
@@ -180,10 +183,19 @@ class Router : public serve::LineServer {
     double queue_fraction = 0.0;  ///< from the last health probe
   };
 
-  std::string HandleLineOn(const std::string& line,
-                           std::vector<LineConn>& upstream);
+  /// What one client connection keeps across its lines: upstream
+  /// connections (the data path shares no sockets across threads, so
+  /// forwards never lock), the parse tape and the forwarded-line buffer.
+  struct Session {
+    explicit Session(size_t shards) : upstream(shards) {}
+    std::vector<LineConn> upstream;
+    util::JsonTape tape;
+    std::string forward;
+  };
+
+  std::string HandleLineOn(const std::string& line, Session& session);
   std::string RouteDocument(const std::string& line,
-                            std::vector<LineConn>& upstream);
+                            const util::JsonValue& root, Session& session);
   /// One forward with a single fresh-connection retry (a cached
   /// connection may be stale after a worker restart). False = transport
   /// failure after retry: the worker is gone.
@@ -193,7 +205,7 @@ class Router : public serve::LineServer {
   /// retry already failed on a fresh connection).
   void NoteForwardFailure(size_t shard);
 
-  std::string HandleAdmin(const std::string& cmd, const std::string& line);
+  std::string HandleAdmin(std::string_view cmd, const util::JsonValue& root);
   std::string MergedStatsJson();
   std::string RouterHealthJson();
   std::string MergedSlowJson();
@@ -229,8 +241,8 @@ class Router : public serve::LineServer {
   std::thread health_thread_;
 
   /// Serializes the HandleLine test seam.
-  sync::Mutex test_conns_mu_{"fleet.router.test_conns"};
-  std::vector<LineConn> test_conns_ VS2_GUARDED_BY(test_conns_mu_);
+  sync::Mutex test_session_mu_{"fleet.router.test_session"};
+  std::unique_ptr<Session> test_session_ VS2_GUARDED_BY(test_session_mu_);
 };
 
 }  // namespace vs2::fleet

@@ -1,61 +1,40 @@
 #include "fleet/snapshot.hpp"
 
-#include <cstdlib>
-
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace vs2::fleet {
 
-double JsonNumber(const std::string& json, const std::string& key,
-                  size_t from) {
-  std::string needle = "\"" + key + "\":";
-  size_t at = json.find(needle, from);
-  if (at == std::string::npos) return 0.0;
-  return std::atof(json.c_str() + at + needle.size());
-}
-
-std::string JsonObject(const std::string& json, const std::string& key,
-                       size_t from) {
-  std::string needle = "\"" + key + "\":{";
-  size_t at = json.find(needle, from);
-  if (at == std::string::npos) return "";
-  size_t start = at + needle.size() - 1;
-  int depth = 0;
-  for (size_t i = start; i < json.size(); ++i) {
-    if (json[i] == '{') ++depth;
-    if (json[i] == '}' && --depth == 0) {
-      return json.substr(start, i - start + 1);
-    }
-  }
-  return "";
-}
-
 ShardSnapshot ParseShardSnapshot(const std::string& health_json,
                                  const std::string& stats_json) {
   ShardSnapshot snapshot;
-  if (health_json.find("\"status\":") == std::string::npos) return snapshot;
+  util::JsonTape tape;
+  if (!tape.Parse(health_json).ok()) return snapshot;
+  util::JsonValue health = tape.root();
+  if (!health["status"].present()) return snapshot;
   snapshot.reachable = true;
   snapshot.accepting =
-      health_json.find("\"accepting\":true") != std::string::npos;
-  snapshot.queue_depth = JsonNumber(health_json, "queue_depth");
-  snapshot.queue_capacity = JsonNumber(health_json, "queue_capacity");
-  snapshot.in_flight = JsonNumber(health_json, "in_flight");
-  snapshot.completed = JsonNumber(health_json, "completed");
-  snapshot.rejected = JsonNumber(health_json, "rejected");
-  snapshot.cache_hits = JsonNumber(health_json, "cache_hits");
-  snapshot.cache_misses = JsonNumber(health_json, "cache_misses");
-  snapshot.cache_size = JsonNumber(health_json, "cache_size");
-  snapshot.uptime_sec = JsonNumber(health_json, "uptime_sec");
+      health["accepting"].is_bool() && health["accepting"].boolean();
+  snapshot.queue_depth = health["queue_depth"].NumberOr(0.0);
+  snapshot.queue_capacity = health["queue_capacity"].NumberOr(0.0);
+  snapshot.in_flight = health["in_flight"].NumberOr(0.0);
+  snapshot.completed = health["completed"].NumberOr(0.0);
+  snapshot.rejected = health["rejected"].NumberOr(0.0);
+  snapshot.cache_hits = health["cache_hits"].NumberOr(0.0);
+  snapshot.cache_misses = health["cache_misses"].NumberOr(0.0);
+  snapshot.cache_size = health["cache_size"].NumberOr(0.0);
+  snapshot.uptime_sec = health["uptime_sec"].NumberOr(0.0);
 
-  if (!stats_json.empty()) {
-    std::string histograms = JsonObject(stats_json, "histograms");
-    std::string latency = JsonObject(histograms, "serve.request_latency_ms");
-    snapshot.p50_ms = JsonNumber(latency, "p50");
-    snapshot.p95_ms = JsonNumber(latency, "p95");
-    snapshot.p99_ms = JsonNumber(latency, "p99");
-    std::string windowed = JsonObject(stats_json, "windowed_histograms");
-    std::string extract = JsonObject(windowed, "serve.extract");
-    snapshot.rate_10s = JsonNumber(JsonObject(extract, "10s"), "rate_per_sec");
+  if (!stats_json.empty() && tape.Parse(stats_json).ok()) {
+    util::JsonValue stats = tape.root();
+    util::JsonValue latency =
+        stats["histograms"]["serve.request_latency_ms"];
+    snapshot.p50_ms = latency["p50"].NumberOr(0.0);
+    snapshot.p95_ms = latency["p95"].NumberOr(0.0);
+    snapshot.p99_ms = latency["p99"].NumberOr(0.0);
+    snapshot.rate_10s =
+        stats["windowed_histograms"]["serve.extract"]["10s"]["rate_per_sec"]
+            .NumberOr(0.0);
   }
   return snapshot;
 }

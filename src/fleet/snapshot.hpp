@@ -2,25 +2,17 @@
 #define VS2_FLEET_SNAPSHOT_HPP_
 
 /// \file snapshot.hpp
-/// Fleet-wide telemetry: per-shard snapshots scraped from the workers'
-/// admin wire (`{"cmd":"health"}` + `{"cmd":"stats"}`) and the merged
-/// fleet JSON the router serves to `vs2_top`. The scrapers are shape-
-/// pinned against our own serializers (`Daemon::HandleAdmin`,
-/// `obs::Metrics::SnapshotJson`, both covered by tests/serve_test.cpp) —
-/// a minimal field extractor, not a general JSON parser.
+/// Fleet-wide telemetry: per-shard snapshots read from the workers'
+/// admin wire (`{"cmd":"health"}` + `{"cmd":"stats"}`) with the JSON
+/// reader (`util::JsonTape`), and the merged fleet JSON the router serves
+/// to `vs2_top`. The shapes read are those of our own serializers
+/// (`Daemon::HandleAdmin`, `obs::Metrics::SnapshotJson`, both covered by
+/// tests/serve_test.cpp).
 
 #include <cstddef>
 #include <string>
 
 namespace vs2::fleet {
-
-/// Numeric value following `"key":` at or after `from`; 0.0 when absent.
-double JsonNumber(const std::string& json, const std::string& key,
-                  size_t from = 0);
-
-/// The balanced `{...}` object value of `"key"`; empty when absent.
-std::string JsonObject(const std::string& json, const std::string& key,
-                       size_t from = 0);
 
 /// One worker's point-in-time state as the router aggregates it.
 struct ShardSnapshot {
@@ -50,9 +42,9 @@ struct ShardSnapshot {
   }
 };
 
-/// Scrapes one worker's `health` and `stats` admin responses. Either may
+/// Reads one worker's `health` and `stats` admin responses. Either may
 /// be empty (probe failed) — `reachable` is true only when `health_json`
-/// parsed as a health object.
+/// parsed as a health object. Missing fields read as 0.
 ShardSnapshot ParseShardSnapshot(const std::string& health_json,
                                  const std::string& stats_json);
 

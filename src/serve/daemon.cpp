@@ -6,6 +6,7 @@
 #include "obs/metrics.hpp"
 #include "obs/slowlog.hpp"
 #include "serve/wire.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace vs2::serve {
@@ -40,16 +41,18 @@ Daemon::Daemon(ExtractionService& service, DaemonOptions options)
 
 std::unique_ptr<LineServer::ConnectionHandler> Daemon::NewConnection() {
   // The daemon's per-line handling is stateless across lines; every
-  // connection shares the service through the daemon itself.
+  // connection shares the service through the daemon itself and keeps
+  // only a reused parse tape of its own.
   class Handler : public ConnectionHandler {
    public:
     explicit Handler(Daemon* daemon) : daemon_(daemon) {}
     std::string HandleLine(const std::string& line) override {
-      return daemon_->HandleLine(line);
+      return daemon_->HandleLine(line, &tape_);
     }
 
    private:
     Daemon* daemon_;
+    util::JsonTape tape_;
   };
   return std::make_unique<Handler>(this);
 }
@@ -62,21 +65,28 @@ std::string Daemon::OversizedLineResponse(size_t max_line_bytes) {
 }
 
 std::string Daemon::HandleLine(const std::string& line) {
-  std::string cmd;
-  switch (FindTopLevelField(line, "cmd", &cmd)) {
-    case FieldScan::kString:
-      return HandleAdmin(cmd);
-    case FieldScan::kNonString:
-      return doc::ErrorToJson(
-          "<admin>", Status::InvalidArgument(
-                         "\"cmd\" must be a string: stats, health or slow"));
-    case FieldScan::kAbsent:
-      break;
-  }
-  return HandleDocument(line);
+  util::JsonTape tape;
+  return HandleLine(line, &tape);
 }
 
-std::string Daemon::HandleAdmin(const std::string& cmd) {
+std::string Daemon::HandleLine(const std::string& line,
+                               util::JsonTape* tape) {
+  std::string_view canonical, trace_hex;
+  if (SplitCanonicalLine(line, &canonical, &trace_hex)) {
+    return HandleCanonical(canonical, trace_hex);
+  }
+  Status parsed = tape->Parse(line);
+  std::string response =
+      parsed.ok() ? HandleParsed(tape->root())
+                  : doc::ErrorToJson("<request>",
+                                     Status::InvalidArgument(
+                                         "bad document JSON: " +
+                                         parsed.ToString()));
+  tape->Shrink();
+  return response;
+}
+
+std::string Daemon::HandleAdmin(std::string_view cmd) {
   if (cmd == "stats") {
     // The full instrument snapshot; the windowed sections carry the
     // 10s/1m/5m `serve.extract` views the fleet console polls.
@@ -120,37 +130,62 @@ std::string Daemon::HandleAdmin(const std::string& cmd) {
   }
   return doc::ErrorToJson(
       "<admin>",
-      Status::InvalidArgument("unknown cmd \"" + cmd +
+      Status::InvalidArgument("unknown cmd \"" + std::string(cmd) +
                               "\": expected stats, health or slow"));
 }
 
-std::string Daemon::HandleDocument(const std::string& line) {
+std::string Daemon::HandleParsed(const util::JsonValue& root) {
+  if (util::JsonValue cmd = root["cmd"]; cmd.present()) {
+    if (!cmd.is_string()) {
+      return doc::ErrorToJson(
+          "<admin>", Status::InvalidArgument(
+                         "\"cmd\" must be a string: stats, health or slow"));
+    }
+    return HandleAdmin(cmd.string());
+  }
   // A client-supplied trace id opts the response into the telemetry echo;
   // lines without one keep the pre-telemetry response bytes.
-  std::string trace_hex;
-  bool has_trace =
-      FindTopLevelField(line, "trace_id", &trace_hex) != FieldScan::kAbsent;
   RequestOptions request_options;
-  if (has_trace) {
-    request_options.trace = obs::TraceContext::FromHex(trace_hex);
-    if (!request_options.trace.valid()) {
-      return doc::ErrorToJson(
-          "<request>",
-          Status::InvalidArgument(
-              "bad trace_id \"" + trace_hex +
-              "\": expected 32 hex digits, not all zero"));
-    }
+  util::JsonValue trace = root["trace_id"];
+  if (trace.present()) {
+    std::string_view hex = trace.StringOr("");
+    Status status = ParseTraceId(hex, &request_options.trace);
+    if (!status.ok()) return doc::ErrorToJson("<request>", status);
   }
-
-  auto parsed = doc::FromJson(line);
-  if (!parsed.ok()) {
+  Result<doc::Document> document = doc::FromJsonValue(root);
+  if (!document.ok()) {
     return doc::ErrorToJson(
         "<request>", Status::InvalidArgument("bad document JSON: " +
-                                             parsed.status().ToString()));
+                                             document.status().ToString()));
   }
   RequestTelemetry telemetry;
-  ExtractionService::Response response = service_.Extract(
-      *std::move(parsed), request_options, has_trace ? &telemetry : nullptr);
+  ExtractionService::Response response =
+      service_
+          .Submit(*std::move(document), request_options,
+                  trace.present() ? &telemetry : nullptr)
+          .get();
+  return Render(response, trace.present(), telemetry);
+}
+
+std::string Daemon::HandleCanonical(std::string_view canonical,
+                                    std::string_view trace_hex) {
+  RequestOptions request_options;
+  const bool traced = !trace_hex.empty();
+  if (traced) {
+    Status status = ParseTraceId(trace_hex, &request_options.trace);
+    if (!status.ok()) return doc::ErrorToJson("<request>", status);
+  }
+  RequestTelemetry telemetry;
+  ExtractionService::Response response =
+      service_
+          .SubmitCanonical(std::string(canonical), request_options,
+                           traced ? &telemetry : nullptr)
+          .get();
+  return Render(response, traced, telemetry);
+}
+
+std::string Daemon::Render(const ExtractionService::Response& response,
+                           bool traced, const RequestTelemetry& telemetry) {
   std::string payload = response.ok()
                             ? doc::ExtractionsToJson(*response)
                             : doc::ErrorToJson("<request>", response.status());
@@ -162,7 +197,7 @@ std::string Daemon::HandleDocument(const std::string& line) {
                            triage::LaneName((*response).triage.lane)) +
               payload.substr(1);
   }
-  if (!has_trace) return payload;
+  if (!traced) return payload;
   // Prefix the echo fields inside the existing object: both payload forms
   // are non-empty objects, so the trailing comma is always valid.
   return util::Format("{\"trace_id\":\"%s\",\"total_ms\":%s,\"stages\":%s,",

@@ -18,6 +18,15 @@
 /// breakdown). Lines without `trace_id` get byte-identical responses to
 /// the pre-telemetry protocol.
 ///
+/// A *canonical line* (`{"canonical":<doc>}`, optionally led by a
+/// `"trace_id"` — the layout is in serve/wire.hpp) is what the fleet router
+/// forwards: the document's canonical bytes, which the service hashes and
+/// looks up without parsing; it decodes them only on a miss, and rejects
+/// bytes that do not re-spell to themselves. Its responses are those of
+/// the plain document line. A marked line counts a cache lookup like any
+/// other request, so one that is then rejected counts as a miss. Outside
+/// that exact layout a `"canonical"` key is ignored, as any unknown key.
+///
 /// Admin lines carry a top-level `"cmd"` instead of a document:
 ///
 ///   {"cmd":"stats"}   -> the obs::Metrics snapshot (rolling windows incl.)
@@ -41,6 +50,7 @@
 
 #include "serve/line_server.hpp"
 #include "serve/service.hpp"
+#include "util/json.hpp"
 #include "util/status.hpp"
 
 namespace vs2::serve {
@@ -60,7 +70,8 @@ class Daemon : public LineServer {
   Daemon(ExtractionService& service, DaemonOptions options);
 
   /// One request line in, one response line out (no trailing newline).
-  /// Exposed for tests; connection handlers call this per received line.
+  /// Exposed for tests; connection handlers call the overload that reuses
+  /// their own tape.
   std::string HandleLine(const std::string& line);
 
  protected:
@@ -68,10 +79,19 @@ class Daemon : public LineServer {
   std::string OversizedLineResponse(size_t max_line_bytes) override;
 
  private:
+  std::string HandleLine(const std::string& line, util::JsonTape* tape);
   /// Dispatches one `{"cmd":...}` admin line.
-  std::string HandleAdmin(const std::string& cmd);
-  /// Runs one document request line (optionally under a wire trace id).
-  std::string HandleDocument(const std::string& line);
+  std::string HandleAdmin(std::string_view cmd);
+  /// Runs one parsed request line: an admin command or a document
+  /// (optionally under a wire trace id).
+  std::string HandleParsed(const util::JsonValue& root);
+  /// Runs one canonical line's document bytes.
+  std::string HandleCanonical(std::string_view canonical,
+                              std::string_view trace_hex);
+  /// Renders a finished request's response line, with the lane echo and,
+  /// when `traced`, the trace echo.
+  std::string Render(const ExtractionService::Response& response, bool traced,
+                     const RequestTelemetry& telemetry);
 
   ExtractionService& service_;
 };

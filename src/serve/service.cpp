@@ -10,6 +10,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/content_address.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
 
 namespace vs2::serve {
@@ -113,6 +114,19 @@ double ExtractionService::ResolveDeadline(const RequestOptions& options,
 std::future<ExtractionService::Response> ExtractionService::Submit(
     doc::Document document, RequestOptions options,
     RequestTelemetry* telemetry) {
+  return Admit(Request{{}, std::move(document)}, std::move(options),
+               telemetry);
+}
+
+std::future<ExtractionService::Response> ExtractionService::SubmitCanonical(
+    std::string canonical, RequestOptions options,
+    RequestTelemetry* telemetry) {
+  return Admit(Request{std::move(canonical), std::nullopt},
+               std::move(options), telemetry);
+}
+
+std::future<ExtractionService::Response> ExtractionService::Admit(
+    Request request, RequestOptions options, RequestTelemetry* telemetry) {
   auto promise = std::make_shared<std::promise<Response>>();
   std::future<Response> future = promise->get_future();
 
@@ -157,10 +171,10 @@ std::future<ExtractionService::Response> ExtractionService::Submit(
   }
 
   double deadline = ResolveDeadline(options, admitted_at);
-  // The request closure owns the document; the promise is shared because
+  // The request closure owns the request; the promise is shared because
   // `std::function` requires a copyable callable.
   pool_->Submit([this, promise, options, deadline, admitted_at, telemetry,
-                 document = std::move(document)]() {
+                 request = std::move(request)]() mutable {
     {
       sync::MutexLock lock(&mu_);
       --queued_;
@@ -175,7 +189,7 @@ std::future<ExtractionService::Response> ExtractionService::Submit(
     // per-request breakdown echoed on the wire and kept by the slow log.
     obs::TraceContextScope trace_scope(options.trace);
     obs::StageRecorder recorder;
-    Response response = RunAdmitted(document, options, deadline);
+    Response response = RunAdmitted(request, options, deadline);
     double total_ms = (Now() - admitted_at) * 1e3;
     Instruments().request_latency.Record(total_ms);
     Instruments().extract_windowed.Record(total_ms);
@@ -210,8 +224,7 @@ std::future<ExtractionService::Response> ExtractionService::Submit(
 }
 
 ExtractionService::Response ExtractionService::RunAdmitted(
-    const doc::Document& document, const RequestOptions& options,
-    double deadline) {
+    Request& request, const RequestOptions& options, double deadline) {
   VS2_TRACE_SPAN("serve.request");
   ServeInstruments& instruments = Instruments();
 
@@ -225,19 +238,27 @@ ExtractionService::Response ExtractionService::RunAdmitted(
   }
 
   const bool use_cache = options_.cache_entries > 0 && !options.bypass_cache;
-  // Per-request serving scratch: the canonical cache key is rebuilt into a
-  // thread-retained buffer, so a steady-state request reuses its capacity
+  // Per-request serving scratch: a document's canonical key is spelled into
+  // a thread-retained buffer, so a steady-state request reuses its capacity
   // instead of allocating a document-sized string every time.
-  thread_local std::string canonical;
-  canonical.clear();
+  thread_local std::string spelled;
+  const std::string& canonical =
+      request.document ? spelled : request.canonical;
   uint64_t hash = 0;
   if (use_cache) {
     obs::Span span("serve.cache_lookup", &instruments.cache_lookup);
     // The shared content address (content_address.hpp): the same hash the
     // fleet router shards on, so a routed request lands on the shard that
     // owns this cache entry.
-    hash = ContentAddressInto(document, &canonical);
+    if (request.document) {
+      spelled.clear();
+      hash = ContentAddressInto(*request.document, &spelled);
+    } else {
+      hash = util::Fnv1a64(request.canonical);
+    }
     uint64_t evictions_before = cache_->evictions();
+    // The byte comparison inside Get is what verifies a hit: cached keys
+    // were spelled by `doc::AppendJson`, so equal bytes are canonical.
     if (ResultCache::Value hit = cache_->Get(hash, canonical, Now())) {
       instruments.cache_hits.Add();
       instruments.cache_hits_windowed.Add();
@@ -248,6 +269,25 @@ ExtractionService::Response ExtractionService::RunAdmitted(
     instruments.cache_misses_windowed.Add();
     instruments.cache_evictions.Add(cache_->evictions() - evictions_before);
   }
+  if (!request.document) {
+    // A stage of its own in the echo and the slow log (a cache hit never
+    // has one), with no histogram: the metrics snapshot keeps its keys.
+    obs::Span span("serve.decode", nullptr);
+    Result<doc::Document> decoded = doc::FromJson(request.canonical);
+    if (!decoded.ok()) {
+      return Status::InvalidArgument("bad canonical document: " +
+                                     decoded.status().ToString());
+    }
+    spelled.clear();
+    doc::AppendJson(*decoded, &spelled);
+    if (spelled != request.canonical) {
+      return Status::InvalidArgument(
+          "canonical line is not in canonical form: it re-spells to "
+          "different bytes");
+    }
+    request.document = *std::move(decoded);
+  }
+  const doc::Document& document = *request.document;
 
   core::ProcessOptions process_options;
   if (std::isfinite(deadline)) {

@@ -18,7 +18,10 @@
 ///  * **Result caching** — a content-addressed LRU cache (`ResultCache`)
 ///    keyed by the FNV-1a hash of the canonical document JSON. Cached and
 ///    recomputed responses are bit-identical because the pipeline is
-///    deterministic per document.
+///    deterministic per document. Every request is keyed by its canonical
+///    bytes: a `Submit`ted document is spelled out on the worker, while a
+///    `SubmitCanonical` request arrives as those bytes and is decoded only
+///    on a miss — a cache hit never parses (DESIGN.md §15.1).
 ///  * **Graceful drain** — `Drain()` stops admission, finishes in-flight
 ///    and queued work, then flushes the configured trace/metrics exports.
 ///
@@ -31,6 +34,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -123,6 +127,15 @@ class ExtractionService {
                                RequestOptions options = {},
                                RequestTelemetry* telemetry = nullptr);
 
+  /// Admits a request given by its canonical bytes — `doc::ToJson`'s
+  /// spelling, as the fleet router forwards it. A cache hit is served from
+  /// the bytes alone; on a miss they are decoded, and bytes that do not
+  /// re-spell to themselves fail with `kInvalidArgument` (nothing is
+  /// cached). Otherwise as `Submit`.
+  std::future<Response> SubmitCanonical(std::string canonical,
+                                        RequestOptions options = {},
+                                        RequestTelemetry* telemetry = nullptr);
+
   /// Blocking convenience: `Submit(...).get()`.
   Response Extract(const doc::Document& document, RequestOptions options = {},
                    RequestTelemetry* telemetry = nullptr);
@@ -160,9 +173,17 @@ class ExtractionService {
   /// Absolute deadline in clock seconds, or +inf when none applies.
   double ResolveDeadline(const RequestOptions& options, double admitted_at)
       const;
+  /// One request: its canonical bytes, its document, or both (a document
+  /// is spelled out on the worker; bytes are decoded only on a miss).
+  struct Request {
+    std::string canonical;
+    std::optional<doc::Document> document;
+  };
+  std::future<Response> Admit(Request request, RequestOptions options,
+                              RequestTelemetry* telemetry);
   /// Worker-side execution of one admitted request.
-  Response RunAdmitted(const doc::Document& document,
-                       const RequestOptions& options, double deadline);
+  Response RunAdmitted(Request& request, const RequestOptions& options,
+                       double deadline);
 
   const core::Vs2& pipeline_;
   ServiceOptions options_;

@@ -3,71 +3,49 @@
 namespace vs2::serve {
 namespace {
 
-/// Consumes the JSON string whose opening quote is at `(*i)`, leaving `*i`
-/// one past the closing quote. Escapes are passed through with only the
-/// backslash dropped — enough to skip strings faithfully; full unescaping
-/// belongs to `doc::FromJson`.
-bool ScanString(const std::string& s, size_t* i, std::string* out) {
-  out->clear();
-  for (++*i; *i < s.size(); ++*i) {
-    char c = s[*i];
-    if (c == '\\') {
-      if (*i + 1 >= s.size()) return false;
-      out->push_back(s[++*i]);
-      continue;
-    }
-    if (c == '"') {
-      ++*i;
-      return true;
-    }
-    out->push_back(c);
-  }
-  return false;
-}
+constexpr std::string_view kPlainHead = "{\"canonical\":";
+constexpr std::string_view kTracedHead = "{\"trace_id\":\"";
+constexpr std::string_view kTracedMark = "\",\"canonical\":";
+constexpr size_t kTraceHexDigits = 32;
 
 }  // namespace
 
-FieldScan FindTopLevelField(const std::string& line, const std::string& key,
-                            std::string* value) {
-  size_t i = 0;
-  const size_t n = line.size();
-  auto skip_ws = [&] {
-    while (i < n && (line[i] == ' ' || line[i] == '\t' || line[i] == '\r')) {
-      ++i;
-    }
-  };
-  skip_ws();
-  if (i >= n || line[i] != '{') return FieldScan::kAbsent;
-  ++i;
-  int depth = 1;
-  std::string token;
-  while (i < n && depth > 0) {
-    char c = line[i];
-    if (c == '"') {
-      bool at_top = depth == 1;
-      if (!ScanString(line, &i, &token)) return FieldScan::kAbsent;
-      skip_ws();
-      if (at_top && i < n && line[i] == ':') {
-        ++i;
-        skip_ws();
-        bool match = token == key;
-        if (i < n && line[i] == '"') {
-          if (!ScanString(line, &i, &token)) return FieldScan::kAbsent;
-          if (match) {
-            *value = token;
-            return FieldScan::kString;
-          }
-        } else if (match) {
-          return FieldScan::kNonString;
-        }
-      }
-      continue;  // ScanString already advanced past the string
-    }
-    if (c == '{' || c == '[') ++depth;
-    if (c == '}' || c == ']') --depth;
-    ++i;
+void AppendCanonicalLineHead(std::string_view trace_hex, std::string* line) {
+  if (trace_hex.empty()) {
+    line->append(kPlainHead);
+    return;
   }
-  return FieldScan::kAbsent;
+  line->append(kTracedHead);
+  line->append(trace_hex);
+  line->append(kTracedMark);
+}
+
+bool SplitCanonicalLine(std::string_view line, std::string_view* canonical,
+                        std::string_view* trace_hex) {
+  if (line.empty() || line.back() != '}') return false;
+  size_t head;
+  if (line.starts_with(kPlainHead)) {
+    *trace_hex = {};
+    head = kPlainHead.size();
+  } else if (line.starts_with(kTracedHead) &&
+             line.size() > kTracedHead.size() + kTraceHexDigits &&
+             line.substr(kTracedHead.size() + kTraceHexDigits)
+                 .starts_with(kTracedMark)) {
+    *trace_hex = line.substr(kTracedHead.size(), kTraceHexDigits);
+    head = kTracedHead.size() + kTraceHexDigits + kTracedMark.size();
+  } else {
+    return false;
+  }
+  if (line.size() < head + 1) return false;
+  *canonical = line.substr(head, line.size() - head - 1);
+  return true;
+}
+
+Status ParseTraceId(std::string_view hex, obs::TraceContext* trace) {
+  *trace = obs::TraceContext::FromHex(std::string(hex));
+  if (trace->valid()) return Status::OK();
+  return Status::InvalidArgument("bad trace_id \"" + std::string(hex) +
+                                 "\": expected 32 hex digits, not all zero");
 }
 
 bool IsUnavailableResponse(const std::string& line) {

@@ -3,27 +3,51 @@
 
 /// \file wire.hpp
 /// Envelope-level helpers for the newline-JSON wire protocol, shared by
-/// the worker daemon and the fleet router. The protocol multiplexes three
+/// the worker daemon and the fleet router. The protocol multiplexes four
 /// line kinds on one connection — documents, `{"cmd":...}` admin lines,
-/// and documents carrying a `"trace_id"` echo opt-in — and both ends of
-/// the fleet must tell them apart *before* paying for a full document
-/// parse. Wire schema details: DESIGN.md §14 (telemetry) and §15 (fleet).
+/// documents carrying a `"trace_id"` echo opt-in, and *canonical* lines.
+/// Both ends read a line's envelope keys from the same parse
+/// (`util::JsonTape`) that decodes its document. Wire schema details:
+/// DESIGN.md §14 (telemetry) and §15 (fleet).
+///
+/// A canonical line carries a document in its canonical spelling
+/// (`doc::ToJson`) under a mark, in exactly this layout:
+///
+///   {"canonical":<canonical document>}
+///   {"trace_id":"<32 hex digits>","canonical":<canonical document>}
+///
+/// The router sends it: it has already parsed and spelled the document to
+/// route it, and the worker can then hash those bytes and serve a cache
+/// hit without parsing the line at all. The mark is a claim, not a trust
+/// boundary: a hit is verified by byte comparison with a key the worker
+/// spelled itself, and on a miss the bytes must re-spell to themselves.
 
 #include <string>
+#include <string_view>
+
+#include "obs/trace.hpp"
+#include "util/status.hpp"
 
 namespace vs2::serve {
 
-/// Outcome of scanning a request line for a top-level field.
-enum class FieldScan { kAbsent, kString, kNonString };
+/// The top-level key that marks a canonical line.
+inline constexpr std::string_view kCanonicalKey = "canonical";
 
-/// Minimal envelope scanner: finds a top-level `"key":"value"` pair in a
-/// one-line JSON object without parsing the whole document. Tracks nesting
-/// depth so keys inside `"elements"` etc. cannot spoof the envelope.
-/// Documents never carry the envelope keys (`cmd`, `trace_id`, `shard`),
-/// admin lines never carry document keys — this scanner is how servers
-/// tell them apart before paying for a full parse.
-FieldScan FindTopLevelField(const std::string& line, const std::string& key,
-                            std::string* value);
+/// Appends the head of a canonical line to `line` — `{"canonical":`, or
+/// the `trace_id` form when `trace_hex` is non-empty. The canonical
+/// document follows, then `}`.
+void AppendCanonicalLineHead(std::string_view trace_hex, std::string* line);
+
+/// Splits a line in the exact canonical-line layout into the document's
+/// bytes and the trace id (empty when none); false for any other line.
+bool SplitCanonicalLine(std::string_view line, std::string_view* canonical,
+                        std::string_view* trace_hex);
+
+/// Reads a wire `"trace_id"` (32 hex digits, not all zero) into `*trace`;
+/// `kInvalidArgument` naming the value otherwise. The daemon and the
+/// router, which checks it before carrying it on a canonical line, share
+/// this check and its message.
+Status ParseTraceId(std::string_view hex, obs::TraceContext* trace);
 
 /// True when `line` is an `{"error":"Unavailable: ...` response — the
 /// wire spelling of `kUnavailable` (`doc::ErrorToJson`). The router's

@@ -504,6 +504,26 @@ TEST(JsonHardeningTest, RejectsNonFiniteAndOutOfRangeNumbers) {
                   .ok());
 }
 
+TEST(JsonHardeningTest, NumbersFollowTheRfcGrammar) {
+  const std::string head = "{\"id\":1,\"dataset\":2,\"width\":";
+  for (const char* bad : {"+612", "0612", ".5", "5.", "-.5", "1e", "0x10"}) {
+    Result<doc::Document> result = doc::FromJson(head + bad + ",\"height\":9}");
+    EXPECT_FALSE(result.ok()) << bad;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  // Underflow is a value (zero here: the page then has no width).
+  Result<doc::Document> tiny = doc::FromJson(
+      "{\"id\":1,\"dataset\":2,\"width\":9,\"height\":9,"
+      "\"rotation_degrees\":1.5e-400}");
+  ASSERT_TRUE(tiny.ok()) << tiny.status();
+  EXPECT_EQ(tiny->rotation_degrees, 0.0);
+  Result<doc::Document> exact =
+      doc::FromJson(head + "612.0,\"height\":7.92e2}");
+  ASSERT_TRUE(exact.ok()) << exact.status();
+  EXPECT_EQ(exact->width, 612.0);
+  EXPECT_EQ(exact->height, 792.0);
+}
+
 TEST(JsonHardeningTest, AcceptedDocumentsRoundTrip) {
   std::string json =
       "{\"id\":7,\"dataset\":2,\"width\":612,\"height\":792,"

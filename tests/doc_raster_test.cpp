@@ -1,13 +1,26 @@
-/// Tests for src/doc (elements, document, layout tree) and src/raster
-/// (grid, renderer, noise).
+/// Tests for src/doc (elements, document, layout tree, the JSON codec
+/// against its pre-tape reference) and src/raster (grid, renderer, noise).
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "datasets/generator.hpp"
 #include "doc/document.hpp"
 #include "doc/layout_tree.hpp"
+#include "doc/serialization.hpp"
 #include "raster/grid.hpp"
 #include "raster/noise.hpp"
 #include "raster/renderer.hpp"
+#include "reference/json_tree_reference.hpp"
+#include "util/rng.hpp"
 
 namespace vs2 {
 namespace {
@@ -21,6 +34,307 @@ doc::Document TwoLineDoc() {
   raster::PlaceLine(&d, "alpha beta gamma", 10, 10, style, 0);
   raster::PlaceLine(&d, "delta epsilon", 10, 50, style, 1);
   return d;
+}
+
+// ------------------------------------------- JSON codec vs tree reference --
+// The tape reader and the to_chars writer (doc/serialization.cpp) against
+// the tree parser and snprintf writer they replaced
+// (tests/reference/json_tree_reference.hpp).
+
+bool IsNumberChar(char c) {
+  return (c >= '0' && c <= '9') || c == '+' || c == '-' || c == '.' ||
+         c == 'e' || c == 'E';
+}
+
+/// RFC 8259 §6: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+bool IsRfcNumber(const std::string& t) {
+  size_t i = 0;
+  auto digits = [&] {
+    size_t start = i;
+    while (i < t.size() && t[i] >= '0' && t[i] <= '9') ++i;
+    return i > start;
+  };
+  if (i < t.size() && t[i] == '-') ++i;
+  if (i < t.size() && t[i] == '0') {
+    ++i;
+  } else if (!digits()) {
+    return false;
+  }
+  if (i < t.size() && t[i] == '.') {
+    ++i;
+    if (!digits()) return false;
+  }
+  if (i < t.size() && (t[i] == 'e' || t[i] == 'E')) {
+    ++i;
+    if (i < t.size() && (t[i] == '+' || t[i] == '-')) ++i;
+    if (!digits()) return false;
+  }
+  return i == t.size();
+}
+
+/// True when `json` uses a spelling the tree parser took and RFC 8259
+/// forbids. These are the only differences the differential test allows,
+/// and each makes the tape reader reject what the tree parser accepted:
+///  * a number token (the tree parser's `[0-9+-.eE]` run) that `strtod`
+///    reads whole but the RFC grammar does not: `+612`, `0612`, `.5`, `5.`;
+///  * `\v` or `\f` between tokens (the tree parser skipped `isspace`).
+bool UsesNonRfcGrammar(const std::string& json) {
+  bool in_string = false;
+  for (size_t i = 0; i < json.size(); ++i) {
+    char c = json[i];
+    if (in_string) {
+      if (c == '\\') {
+        ++i;
+      } else if (c == '"') {
+        in_string = false;
+      }
+      continue;
+    }
+    if (c == '"') {
+      in_string = true;
+    } else if (c == '\v' || c == '\f') {
+      return true;
+    } else if (IsNumberChar(c) && c != 'e' && c != 'E') {
+      size_t end = i;
+      while (end < json.size() && IsNumberChar(json[end])) ++end;
+      std::string token = json.substr(i, end - i);
+      char* stop = nullptr;
+      std::strtod(token.c_str(), &stop);
+      if (stop == token.c_str() + token.size() && !IsRfcNumber(token)) {
+        return true;
+      }
+      i = end - 1;
+    }
+  }
+  return false;
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+/// The first field in which two documents differ, or "" when none does.
+/// Doubles compare by bit pattern, so -0 and 0 differ.
+std::string FirstDifference(const doc::Document& a, const doc::Document& b) {
+  auto box = [](const util::BBox& x, const util::BBox& y) {
+    return Bits(x.x) == Bits(y.x) && Bits(x.y) == Bits(y.y) &&
+           Bits(x.width) == Bits(y.width) && Bits(x.height) == Bits(y.height);
+  };
+  if (a.id != b.id || a.dataset != b.dataset || a.format != b.format) {
+    return "header ids";
+  }
+  if (Bits(a.width) != Bits(b.width) || Bits(a.height) != Bits(b.height) ||
+      Bits(a.capture_quality) != Bits(b.capture_quality) ||
+      a.template_id != b.template_id ||
+      Bits(a.rotation_degrees) != Bits(b.rotation_degrees)) {
+    return "header values";
+  }
+  if (a.elements.size() != b.elements.size()) return "element count";
+  for (size_t i = 0; i < a.elements.size(); ++i) {
+    const doc::AtomicElement& x = a.elements[i];
+    const doc::AtomicElement& y = b.elements[i];
+    if (x.kind != y.kind || x.text != y.text || !box(x.bbox, y.bbox) ||
+        Bits(x.color.l) != Bits(y.color.l) ||
+        Bits(x.color.a) != Bits(y.color.a) ||
+        Bits(x.color.b) != Bits(y.color.b) ||
+        Bits(x.style.font_size) != Bits(y.style.font_size) ||
+        x.style.bold != y.style.bold || x.style.italic != y.style.italic ||
+        !(x.style.color == y.style.color) || x.image_id != y.image_id ||
+        x.markup_hint != y.markup_hint || x.line_id != y.line_id) {
+      return "element " + std::to_string(i);
+    }
+  }
+  if (a.annotations.size() != b.annotations.size()) return "annotation count";
+  for (size_t i = 0; i < a.annotations.size(); ++i) {
+    const doc::Annotation& x = a.annotations[i];
+    const doc::Annotation& y = b.annotations[i];
+    if (x.entity_type != y.entity_type || x.text != y.text ||
+        !box(x.bbox, y.bbox)) {
+      return "annotation " + std::to_string(i);
+    }
+  }
+  return "";
+}
+
+/// Runs both parsers on `json`: they must agree on accept/reject and on
+/// every field, except where the input uses a non-RFC spelling. Returns
+/// true when that exception was taken.
+bool ExpectParsersAgree(const std::string& json, const std::string& what) {
+  Result<doc::Document> tape = doc::FromJson(json);
+  Result<doc::Document> tree = reference::TreeFromJson(json);
+  if (tape.ok() != tree.ok()) {
+    bool allowed = tree.ok() && UsesNonRfcGrammar(json);
+    EXPECT_TRUE(allowed) << what << ": tape "
+                         << (tape.ok() ? "accepts" : tape.status().ToString())
+                         << ", tree "
+                         << (tree.ok() ? "accepts" : tree.status().ToString());
+    return allowed;
+  }
+  if (tape.ok()) {
+    EXPECT_EQ(FirstDifference(*tape, *tree), "") << what;
+  } else {
+    EXPECT_EQ(tape.status().code(), StatusCode::kInvalidArgument) << what;
+  }
+  return false;
+}
+
+std::vector<std::string> GeneratedDocumentLines(size_t per_dataset) {
+  std::vector<std::string> lines;
+  for (doc::DatasetId id :
+       {doc::DatasetId::kD1TaxForms, doc::DatasetId::kD2EventPosters,
+        doc::DatasetId::kD3RealEstateFlyers}) {
+    datasets::GeneratorConfig gc;
+    gc.num_documents = per_dataset;
+    gc.seed = 2501;
+    for (const doc::Document& d : datasets::Generate(id, gc).documents) {
+      lines.push_back(doc::ToJson(d));
+    }
+  }
+  return lines;
+}
+
+TEST(JsonReferenceTest, GrammarDifferencesAreExactlyTheListedOnes) {
+  const std::string head = "{\"width\":9,\"height\":9,\"rotation_degrees\":";
+  for (const char* number : {"+612", "0612", ".5", "5.", "-.5", "5.e1"}) {
+    std::string json = head + number + "}";
+    EXPECT_TRUE(reference::TreeFromJson(json).ok()) << json;
+    EXPECT_FALSE(doc::FromJson(json).ok()) << json;
+    EXPECT_TRUE(UsesNonRfcGrammar(json)) << json;
+  }
+  for (const char* space : {"\v", "\f"}) {
+    std::string json = std::string(space) + head + "9}";
+    EXPECT_TRUE(reference::TreeFromJson(json).ok());
+    EXPECT_FALSE(doc::FromJson(json).ok());
+    EXPECT_TRUE(UsesNonRfcGrammar(json));
+  }
+  // RFC spellings, underflow included, read the same in both.
+  for (const char* number : {"612", "-0", "0.5", "5e1", "5E+1", "1.5e-400",
+                             "4.9e-324", "1e-320", "0.1"}) {
+    std::string json = head + number + "}";
+    EXPECT_FALSE(UsesNonRfcGrammar(json)) << json;
+    EXPECT_FALSE(ExpectParsersAgree(json, json));
+  }
+}
+
+TEST(JsonReferenceTest, ParsersAgreeOnTheFuzzCorpora) {
+  size_t inputs = 0;
+  for (const char* harness : {"fuzz_doc_json", "fuzz_wire"}) {
+    std::filesystem::path dir =
+        std::filesystem::path(VS2_FUZZ_CORPUS_DIR) / harness;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      std::stringstream buffer;
+      buffer << in.rdbuf();
+      const std::string content = buffer.str();
+      ExpectParsersAgree(content, entry.path().string());
+      // Wire seeds are line streams: every line is a request.
+      std::istringstream lines(content);
+      for (std::string line; std::getline(lines, line);) {
+        ExpectParsersAgree(line, entry.path().string() + ": " + line);
+      }
+      ++inputs;
+    }
+  }
+  EXPECT_GT(inputs, 10u);
+}
+
+TEST(JsonReferenceTest, ParsersAgreeOnDocumentsAndTheirMutations) {
+  const std::vector<std::string> lines = GeneratedDocumentLines(20);
+  ASSERT_EQ(lines.size(), 60u);
+  // Bytes that change the structure, the number grammar, whitespace and
+  // UTF-8 validity, besides random ones.
+  const std::string interesting = "{}[]\":,\\0159-+.eE tfn\v\f\x7f\x80\xc3\xff";
+  util::Rng rng(2502);
+  size_t allowed = 0;
+  for (size_t d = 0; d < lines.size(); ++d) {
+    const std::string& line = lines[d];
+    EXPECT_FALSE(ExpectParsersAgree(line, "document " + std::to_string(d)));
+    for (int m = 0; m < 60; ++m) {
+      std::string mutated = line;
+      size_t at = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int>(line.size()) - 1));
+      mutated[at] =
+          m % 2 == 0
+              ? interesting[static_cast<size_t>(rng.UniformInt(
+                    0, static_cast<int>(interesting.size()) - 1))]
+              : static_cast<char>(rng.UniformInt(0, 255));
+      if (ExpectParsersAgree(mutated, "document " + std::to_string(d) +
+                                          " byte " + std::to_string(at))) {
+        ++allowed;
+      }
+    }
+    for (int t = 0; t < 20; ++t) {
+      size_t keep = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int>(line.size()) - 1));
+      ExpectParsersAgree(line.substr(0, keep),
+                         "document " + std::to_string(d) + " cut at " +
+                             std::to_string(keep));
+    }
+  }
+  // Some mutations land on a listed difference; the test must see them.
+  EXPECT_GT(allowed, 0u);
+}
+
+TEST(JsonReferenceTest, ToCharsNumbersMatchSnprintfInBothBranches) {
+  util::Rng rng(2503);
+  auto check = [](double v) {
+    std::string fast;
+    doc::AppendCanonicalNumber(v, &fast);
+    std::string slow = reference::SnprintfNumber(v);
+    if (fast != slow) {
+      ADD_FAILURE() << "value " << std::hexfloat << v << ": to_chars "
+                    << fast << ", snprintf " << slow;
+      return false;
+    }
+    return true;
+  };
+  size_t failures = 0;
+  for (int i = 0; i < 200000 && failures < 10; ++i) {
+    // `%.0f` branch: integers, and values whose six digits name one.
+    double integer = std::floor(rng.UniformDouble(-1e15, 1e15) /
+                                std::pow(10.0, rng.UniformInt(0, 14)));
+    double big = rng.UniformDouble(1e5, 1e16) * (i % 2 == 0 ? 1 : -1);
+    // `%.6g` branch: every decimal magnitude from 1e-12 to 1e12.
+    double general = rng.UniformDouble(1.0, 10.0) *
+                     std::pow(10.0, rng.UniformInt(-12, 12)) *
+                     (i % 3 == 0 ? -1 : 1);
+    // Near the six-digit rounding ties and the 1e6 boundary.
+    double tie = (rng.UniformInt(100000, 999999) + 0.5) *
+                 std::pow(10.0, rng.UniformInt(-9, 3));
+    double any = std::bit_cast<double>(
+        (static_cast<uint64_t>(rng.UniformInt(0, 0x7FEFFFFF)) << 32) |
+        static_cast<uint64_t>(rng.UniformInt(0, 0x7FFFFFFF)) << 1);
+    // Short decimals, as page geometry is: at most six significant digits.
+    double short_decimal = rng.UniformInt(1, 999999) /
+                           std::pow(10.0, rng.UniformInt(1, 10)) *
+                           (i % 2 == 0 ? 1 : -1);
+    for (double v : {integer, big, general, tie, std::nextafter(tie, 0.0),
+                     std::nextafter(tie, 1e300), any, -any, short_decimal}) {
+      if (!check(v)) ++failures;
+    }
+  }
+  for (double v : {0.0, -0.0, 0.5, -0.5, 1e-4, 9.99999e-5, 999999.5,
+                   999999.4999, 1e6, 1234567.5, 2000000.25, 1e15, 1e15 - 0.5,
+                   123456.5, 0.1, 1.0 / 3.0, 5e-324, 1.7976931348623157e308}) {
+    check(v);
+  }
+}
+
+TEST(JsonReferenceTest, ToJsonMatchesTheSnprintfWriter) {
+  for (const std::string& line : GeneratedDocumentLines(20)) {
+    Result<doc::Document> d = doc::FromJson(line);
+    ASSERT_TRUE(d.ok()) << d.status();
+    EXPECT_EQ(doc::ToJson(*d), reference::SnprintfToJson(*d));
+  }
+  // Escapes, images and off-grid values.
+  doc::Document d;
+  d.width = 1234567.5;
+  d.height = 0.000123456789;
+  d.rotation_degrees = -0.0;
+  d.elements.push_back(doc::MakeTextElement(
+      "q\"b\\s\t\n\r\x01\x1f\xC3\xA9", {2000000.25, -3.5, 1e-7, 7}, {}));
+  d.elements.push_back(
+      doc::MakeImageElement(9007199254740992ull, {1, 2, 3, 4}, {1, 2, 3}));
+  d.annotations.push_back({"entity\x02", {0.5, 1.25, 1e20, 3}, "t\\"});
+  EXPECT_EQ(doc::ToJson(d), reference::SnprintfToJson(d));
 }
 
 // --------------------------------------------------------------- Element --

@@ -11,10 +11,13 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -25,9 +28,11 @@
 #include "fleet/net.hpp"
 #include "fleet/router.hpp"
 #include "fleet/snapshot.hpp"
+#include "obs/trace.hpp"
 #include "serve/content_address.hpp"
 #include "serve/daemon.hpp"
 #include "serve/service.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace vs2 {
@@ -136,17 +141,21 @@ TEST(HashRingTest, AllShardsDownRoutesToNone) {
 
 // -------------------------------------------------------------- Snapshot --
 
+// The admin scrapers read through the JSON reader's lookups: numbers and
+// nested objects by key, with absent fields reading as 0 / absent.
 TEST(SnapshotTest, ScrapersExtractNumbersAndNestedObjects) {
   const std::string json =
       "{\"a\":3.5,\"nested\":{\"b\":7,\"deep\":{\"c\":9}},\"d\":-2}";
-  EXPECT_DOUBLE_EQ(fleet::JsonNumber(json, "a"), 3.5);
-  EXPECT_DOUBLE_EQ(fleet::JsonNumber(json, "d"), -2.0);
-  EXPECT_DOUBLE_EQ(fleet::JsonNumber(json, "missing"), 0.0);
-  std::string nested = fleet::JsonObject(json, "nested");
-  EXPECT_DOUBLE_EQ(fleet::JsonNumber(nested, "b"), 7.0);
-  EXPECT_DOUBLE_EQ(fleet::JsonNumber(fleet::JsonObject(nested, "deep"), "c"),
-                   9.0);
-  EXPECT_EQ(fleet::JsonObject(json, "missing"), "");
+  util::JsonTape tape;
+  ASSERT_TRUE(tape.Parse(json).ok());
+  util::JsonValue root = tape.root();
+  EXPECT_DOUBLE_EQ(root["a"].NumberOr(0.0), 3.5);
+  EXPECT_DOUBLE_EQ(root["d"].NumberOr(0.0), -2.0);
+  EXPECT_DOUBLE_EQ(root["missing"].NumberOr(0.0), 0.0);
+  util::JsonValue nested = root["nested"];
+  EXPECT_DOUBLE_EQ(nested["b"].NumberOr(0.0), 7.0);
+  EXPECT_DOUBLE_EQ(nested["deep"]["c"].NumberOr(0.0), 9.0);
+  EXPECT_FALSE(root["missing"].present());
 }
 
 TEST(SnapshotTest, ParsesWorkerHealthAndStats) {
@@ -206,10 +215,12 @@ std::string FleetSocketPath(const std::string& tag) {
 /// a private Unix socket, all over the one shared read-only pipeline.
 struct InProcessWorker {
   InProcessWorker(const std::string& socket_path,
-                  const serve::ServiceOptions& options)
+                  const serve::ServiceOptions& options,
+                  size_t max_line_bytes)
       : service(SharedPipeline(), options) {
     serve::DaemonOptions daemon_options;
     daemon_options.unix_socket_path = socket_path;
+    daemon_options.max_line_bytes = max_line_bytes;
     daemon = std::make_unique<serve::Daemon>(service, daemon_options);
   }
   serve::ExtractionService service;
@@ -230,6 +241,8 @@ struct TestFleet {
   }
 };
 
+/// Workers get the router's line cap, as `vs2_fleet` gives its spawned
+/// workers the default of both.
 std::unique_ptr<TestFleet> StartTestFleet(
     const std::string& tag, size_t shards, fleet::RouterOptions options,
     const serve::ServiceOptions& service_options = {}) {
@@ -237,8 +250,8 @@ std::unique_ptr<TestFleet> StartTestFleet(
   std::vector<fleet::WorkerSpec> specs;
   for (size_t w = 0; w < shards; ++w) {
     std::string socket = FleetSocketPath(tag + std::to_string(w));
-    fleet_ptr->workers.push_back(
-        std::make_unique<InProcessWorker>(socket, service_options));
+    fleet_ptr->workers.push_back(std::make_unique<InProcessWorker>(
+        socket, service_options, options.max_line_bytes));
     if (!fleet_ptr->workers.back()->daemon->Start().ok()) return nullptr;
     fleet::WorkerSpec spec;
     spec.endpoint.unix_socket_path = socket;  // adopted
@@ -324,6 +337,203 @@ TEST(FleetRouterTest, SocketClientsRouteThroughTheFleet) {
     // Byte-identical to a direct pipeline call: the router is transparent.
     EXPECT_EQ(response, doc::ExtractionsToJson(*direct));
   }
+}
+
+// ----------------------------------------------- Canonical lines (§15.1) --
+
+/// Appends `s` as a JSON string literal.
+void AppendQuoted(std::string_view s, std::string* out) {
+  out->push_back('"');
+  for (char c : s) {
+    if (c == '"' || c == '\\') {
+      out->push_back('\\');
+      out->push_back(c);
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char esc[8];
+      std::snprintf(esc, sizeof(esc), "\\u%04x", c);
+      out->append(esc);
+    } else {
+      out->push_back(c);
+    }
+  }
+  out->push_back('"');
+}
+
+/// Another spelling of the same JSON value: members in reverse order,
+/// whitespace around every token, and a trailing zero on every fraction
+/// ("1.50" for "1.5").
+void Respell(const util::JsonValue& v, std::string* out) {
+  if (v.is_object()) {
+    std::vector<std::pair<std::string_view, util::JsonValue>> members;
+    for (auto it = v.begin(); it != v.end(); ++it) {
+      members.emplace_back(it.key(), *it);
+    }
+    out->append("{ ");
+    for (size_t i = members.size(); i-- > 0;) {
+      AppendQuoted(members[i].first, out);
+      out->append(" : ");
+      Respell(members[i].second, out);
+      if (i > 0) out->append(" ,\n ");
+    }
+    out->append(" }");
+  } else if (v.is_array()) {
+    out->append("[ ");
+    bool first = true;
+    for (util::JsonValue item : v) {
+      if (!first) out->append(" , ");
+      first = false;
+      Respell(item, out);
+    }
+    out->append(" ]");
+  } else if (v.is_number()) {
+    std::string number;
+    doc::AppendCanonicalNumber(v.number(), &number);
+    if (number.find('.') != std::string::npos &&
+        number.find('e') == std::string::npos) {
+      number.push_back('0');
+    }
+    out->append(number);
+  } else if (v.is_string()) {
+    AppendQuoted(v.string(), out);
+  } else {
+    out->append(v.is_bool() ? (v.boolean() ? "true" : "false") : "null");
+  }
+}
+
+std::string Respelled(const std::string& json) {
+  util::JsonTape tape;
+  EXPECT_TRUE(tape.Parse(json).ok());
+  std::string out;
+  Respell(tape.root(), &out);
+  return out;
+}
+
+std::string TraceHex() { return obs::TraceContext::Generate().ToHex(); }
+
+/// `line` with a wire `"trace_id"` after its opening brace.
+std::string Traced(const std::string& line, const std::string& hex) {
+  return "{\"trace_id\":\"" + hex + "\"," + line.substr(1);
+}
+
+/// The payload of a traced response: the echo fields removed.
+std::string Untraced(const std::string& response) {
+  size_t end = response.find("],");
+  return end == std::string::npos ? response : "{" + response.substr(end + 2);
+}
+
+TEST(FleetRouterTest, RespelledDocumentHitsWithoutAParse) {
+  fleet::RouterOptions options;
+  options.health_interval_sec = 3600.0;
+  auto fleet_ptr = StartTestFleet("respell", 2, options);
+  ASSERT_NE(fleet_ptr, nullptr);
+
+  doc::Corpus corpus = SmallD2Corpus(1, 2107);
+  const std::string canonical = doc::ToJson(corpus.documents[0]);
+  const std::string respelled = Respelled(canonical);
+  ASSERT_NE(respelled, canonical);
+  ASSERT_NE(respelled.find("0 ,"), std::string::npos) << respelled;
+  const size_t home = HomeShard(corpus.documents[0], 2);
+  serve::ExtractionService& service = fleet_ptr->workers[home]->service;
+
+  // The first spelling misses on the home shard: the worker decodes the
+  // router's canonical bytes and runs the pipeline.
+  std::string miss = fleet_ptr->router->HandleLine(Traced(respelled, TraceHex()));
+  EXPECT_NE(miss.find("{\"name\":\"serve.decode\""), std::string::npos)
+      << miss;
+  EXPECT_NE(miss.find("{\"name\":\"vs2.process\""), std::string::npos);
+  EXPECT_EQ(service.stats().cache_misses, 1u);
+
+  // The other spelling hits the same entry, and nothing on that worker
+  // parsed the document: no decode stage, no pipeline.
+  std::string hit = fleet_ptr->router->HandleLine(Traced(canonical, TraceHex()));
+  EXPECT_NE(hit.find("{\"name\":\"serve.cache_lookup\""), std::string::npos)
+      << hit;
+  EXPECT_EQ(hit.find("serve.decode"), std::string::npos) << hit;
+  EXPECT_EQ(hit.find("vs2.process"), std::string::npos) << hit;
+  EXPECT_EQ(service.stats().cache_hits, 1u);
+  EXPECT_EQ(service.stats().cache_misses, 1u);
+  EXPECT_EQ(Untraced(hit), Untraced(miss));
+  EXPECT_EQ(fleet_ptr->workers[1 - home]->service.stats().cache_misses, 0u);
+}
+
+TEST(FleetRouterTest, ClientSuppliedMarkIsNeverTrusted) {
+  fleet::RouterOptions options;
+  options.health_interval_sec = 3600.0;
+  auto fleet_ptr = StartTestFleet("mark", 2, options);
+  ASSERT_NE(fleet_ptr, nullptr);
+
+  doc::Corpus corpus = SmallD2Corpus(1, 2108);
+  const std::string canonical = doc::ToJson(corpus.documents[0]);
+  // Exactly the layout the router itself forwards, and a variant: the
+  // router answers both itself and forwards nothing.
+  for (const std::string& line :
+       {"{\"canonical\":" + canonical + "}",
+        "{\"trace_id\":\"" + TraceHex() + "\",\"canonical\":" + canonical +
+            "}",
+        "{ \"canonical\" : " + Respelled(canonical) + " }"}) {
+    std::string response = fleet_ptr->router->HandleLine(line);
+    EXPECT_EQ(response.rfind("{\"error\":\"InvalidArgument", 0), 0u)
+        << response;
+    EXPECT_NE(response.find("canonical"), std::string::npos) << response;
+  }
+  EXPECT_EQ(fleet_ptr->router->stats().forwarded, 0u);
+  EXPECT_EQ(fleet_ptr->router->stats().bad_document, 3u);
+  for (const auto& worker : fleet_ptr->workers) {
+    EXPECT_EQ(worker->service.stats().accepted, 0u);
+  }
+}
+
+TEST(FleetRouterTest, TraceIdEchoSurvivesTheRouterHop) {
+  fleet::RouterOptions options;
+  options.health_interval_sec = 3600.0;
+  auto fleet_ptr = StartTestFleet("trace", 2, options);
+  ASSERT_NE(fleet_ptr, nullptr);
+
+  doc::Corpus corpus = SmallD2Corpus(1, 2109);
+  const std::string line = doc::ToJson(corpus.documents[0]);
+  const std::string plain = fleet_ptr->router->HandleLine(line);
+  ASSERT_NE(plain.find("\"extractions\""), std::string::npos) << plain;
+
+  const std::string hex = TraceHex();
+  std::string traced = fleet_ptr->router->HandleLine(Traced(line, hex));
+  EXPECT_EQ(traced.rfind("{\"trace_id\":\"" + hex + "\",\"total_ms\":", 0),
+            0u)
+      << traced;
+  EXPECT_NE(traced.find("\"stages\":[{"), std::string::npos) << traced;
+  EXPECT_EQ(Untraced(traced), plain);
+
+  // A bad trace id is refused at the router, as the worker would refuse it.
+  std::string bad = fleet_ptr->router->HandleLine(Traced(line, "xyz"));
+  EXPECT_NE(bad.find("bad trace_id \\\"xyz\\\""), std::string::npos) << bad;
+  EXPECT_EQ(fleet_ptr->router->stats().forwarded, 2u);
+}
+
+TEST(FleetRouterTest, CanonicalSpellingLongerThanTheLineCapIsServed) {
+  // A bare `{}` element spells out every default, ~47x its client bytes.
+  // The cap is scaled down from the 8 MiB default so the pipeline stays
+  // quick; the rule is relative to the cap.
+  fleet::RouterOptions options;
+  options.health_interval_sec = 3600.0;
+  options.max_line_bytes = 64 << 10;
+  auto fleet_ptr = StartTestFleet("long", 2, options);
+  ASSERT_NE(fleet_ptr, nullptr);
+
+  std::string line = "{\"width\":612,\"height\":792,\"elements\":[";
+  for (int i = 0; i < 600; ++i) line += i == 0 ? "{}" : ",{}";
+  line += "]}";
+  Result<doc::Document> document = doc::FromJson(line);
+  ASSERT_TRUE(document.ok());
+  ASSERT_LT(line.size(), options.max_line_bytes);
+  ASSERT_GT(doc::ToJson(*document).size(), options.max_line_bytes);
+  auto direct = SharedPipeline().Process(*document);
+  ASSERT_TRUE(direct.ok());
+
+  const std::string expected = doc::ExtractionsToJson(*direct);
+  EXPECT_EQ(fleet_ptr->router->HandleLine(line), expected);
+  // Served from the home shard's cache the second time.
+  EXPECT_EQ(fleet_ptr->router->HandleLine(line), expected);
+  size_t home = HomeShard(*document, 2);
+  EXPECT_EQ(fleet_ptr->workers[home]->service.stats().cache_hits, 1u);
 }
 
 TEST(FleetRouterTest, DeadShardFailsOverToSibling) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "core/pipeline.hpp"
@@ -56,6 +57,45 @@ TEST(SerializationTest, RoundTripPreservesDocument) {
       // Reading order — and hence all downstream text — survives.
       EXPECT_EQ(parsed->FullText(), original.FullText());
     }
+  }
+}
+
+// The canonical spelling is a fixed point: reading it back and spelling it
+// again gives the same bytes. A worker verifies the router's canonical
+// lines that way (DESIGN.md §15.1), so a value whose `%.6g` spelling
+// re-reads as another number must be spelled out in full.
+TEST(SerializationTest, CanonicalSpellingIsAFixedPoint) {
+  doc::Document d;
+  d.width = 1234567.5;
+  // Below 1e6, but six significant digits round it up to 1e6: `%.6g`
+  // spelled it "1e+06", which re-reads as an integer.
+  d.height = 999999.7;
+  d.elements.push_back(
+      doc::MakeTextElement("x", {2000000.25, 1, 2, 3}, doc::TextStyle{}));
+  const std::string once = doc::ToJson(d);
+  EXPECT_NE(once.find("\"width\":1234568,"), std::string::npos) << once;
+  EXPECT_NE(once.find("\"x\":2000000,"), std::string::npos) << once;
+  EXPECT_NE(once.find("\"height\":1000000,"), std::string::npos) << once;
+  auto reread = doc::FromJson(once);
+  ASSERT_TRUE(reread.ok()) << reread.status();
+  EXPECT_EQ(doc::ToJson(*reread), once);
+
+  // Every decimal magnitude, both signs, both number branches.
+  util::Rng rng(2504);
+  for (int i = 0; i < 5000; ++i) {
+    auto value = [&] {
+      double sign = rng.UniformInt(0, 1) == 0 ? 1.0 : -1.0;
+      return sign * rng.UniformDouble(1.0, 10.0) *
+             std::pow(10.0, rng.UniformInt(-9, 17));
+    };
+    d.width = std::abs(value());
+    d.rotation_degrees = value();
+    d.elements[0].bbox = {value(), value(), value(), value()};
+    d.elements[0].style.font_size = value();
+    const std::string json = doc::ToJson(d);
+    auto parsed = doc::FromJson(json);
+    ASSERT_TRUE(parsed.ok()) << json << ": " << parsed.status();
+    ASSERT_EQ(doc::ToJson(*parsed), json);
   }
 }
 

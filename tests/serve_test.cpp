@@ -907,6 +907,141 @@ TEST(DaemonTest, HandleLineMapsServiceErrorsToErrorJson) {
       << refused;
 }
 
+// ------------------------------------------- Canonical lines (§15.1) ----
+
+/// `doc::ToJson(d)` under the canonical mark, as the fleet router sends it.
+std::string Marked(const std::string& canonical) {
+  return "{\"canonical\":" + canonical + "}";
+}
+
+bool HasStage(const serve::RequestTelemetry& telemetry, const char* name) {
+  for (const auto& stage : telemetry.stages) {
+    if (std::string(stage.name) == name) return true;
+  }
+  return false;
+}
+
+TEST(ExtractionServiceTest, CanonicalRequestDecodesOnlyOnAMiss) {
+  const core::Vs2& vs2 = SharedPipeline();
+  doc::Corpus corpus = SmallD2Corpus(1, 925);
+  serve::ServiceOptions options;
+  options.jobs = 1;
+  serve::ExtractionService service(vs2, options);
+  const std::string canonical = doc::ToJson(corpus.documents[0]);
+  auto direct = vs2.Process(corpus.documents[0]);
+  ASSERT_TRUE(direct.ok());
+
+  serve::RequestTelemetry miss;
+  auto first = service.SubmitCanonical(canonical, {}, &miss).get();
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(Fingerprint(*first), Fingerprint(*direct));
+  EXPECT_TRUE(HasStage(miss, "serve.decode"));
+  EXPECT_TRUE(HasStage(miss, "vs2.process"));
+
+  // The hit is served from the bytes alone.
+  serve::RequestTelemetry hit;
+  auto second = service.SubmitCanonical(canonical, {}, &hit).get();
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(Fingerprint(*second), Fingerprint(*direct));
+  EXPECT_TRUE(HasStage(hit, "serve.cache_lookup"));
+  EXPECT_FALSE(HasStage(hit, "serve.decode"));
+  EXPECT_FALSE(HasStage(hit, "vs2.process"));
+
+  // A document submitted as such keys on the same bytes: another hit.
+  auto third = service.Extract(corpus.documents[0]);
+  ASSERT_TRUE(third.ok());
+  serve::ExtractionService::Stats stats = service.stats();
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, 2u);
+}
+
+TEST(DaemonTest, NonCanonicalMarkedLineIsRejectedAndNothingCached) {
+  const core::Vs2& vs2 = SharedPipeline();
+  doc::Corpus corpus = SmallD2Corpus(1, 926);
+  serve::ServiceOptions options;
+  options.jobs = 1;
+  serve::ExtractionService service(vs2, options);
+  serve::Daemon daemon(service, serve::DaemonOptions{});
+  const std::string canonical = doc::ToJson(corpus.documents[0]);
+
+  // Valid JSON for the same document, but not its canonical bytes: a
+  // space, a reordered key, a trailing zero, a missing default.
+  const size_t comma = canonical.find(',');
+  const std::string spaced = "{ " + canonical.substr(1);
+  const std::string reordered =
+      "{" + canonical.substr(comma + 1, canonical.size() - comma - 2) + "," +
+      canonical.substr(1, comma - 1) + "}";
+  std::string zero = canonical;
+  zero.replace(zero.find("\"dataset\":2"), 11, "\"dataset\":2.0");
+  std::string missing = canonical;
+  missing.erase(missing.find("\"template_id\":"),
+                missing.find(",\"rotation") - missing.find("\"template_id\":") +
+                    1);
+  for (const std::string& bytes : {spaced, reordered, zero, missing}) {
+    ASSERT_TRUE(doc::FromJson(bytes).ok()) << bytes;
+    std::string response = daemon.HandleLine(Marked(bytes));
+    EXPECT_EQ(response.rfind("{\"error\":\"InvalidArgument", 0), 0u)
+        << response;
+    EXPECT_NE(response.find("not in canonical form"), std::string::npos)
+        << response;
+  }
+  // Bytes that are no document at all.
+  for (const std::string& bytes : {std::string("}"), std::string("{\"a\":")}) {
+    std::string response = daemon.HandleLine(Marked(bytes));
+    EXPECT_EQ(response.rfind("{\"error\":\"InvalidArgument", 0), 0u)
+        << response;
+  }
+  serve::ExtractionService::Stats stats = service.stats();
+  EXPECT_EQ(stats.cache_size, 0u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  // Each marked line was looked up before it was rejected: six misses.
+  EXPECT_EQ(stats.cache_misses, 6u);
+  // Outside the exact layout the key is ignored, as any unknown key: the
+  // line is a document with no fields, answered like `{}`.
+  std::string loose = daemon.HandleLine("{ \"canonical\":" + canonical + "}");
+  EXPECT_EQ(loose, daemon.HandleLine("{}"));
+  EXPECT_NE(loose.find("positive page size"), std::string::npos) << loose;
+  EXPECT_EQ(service.stats().cache_misses, 6u);
+
+  // The canonical bytes themselves are served, then hit.
+  auto direct = vs2.Process(corpus.documents[0]);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(daemon.HandleLine(Marked(canonical)), Fingerprint(*direct));
+  EXPECT_EQ(daemon.HandleLine(Marked(canonical)), Fingerprint(*direct));
+  EXPECT_EQ(service.stats().cache_size, 1u);
+  EXPECT_EQ(service.stats().cache_hits, 1u);
+}
+
+TEST(DaemonTest, UnmarkedLinesKeepTheirResponseBytes) {
+  const core::Vs2& vs2 = SharedPipeline();
+  doc::Corpus corpus = SmallD2Corpus(1, 927);
+  serve::ServiceOptions options;
+  options.jobs = 1;
+  serve::ExtractionService service(vs2, options);
+  serve::Daemon daemon(service, serve::DaemonOptions{});
+  const std::string canonical = doc::ToJson(corpus.documents[0]);
+  auto direct = vs2.Process(corpus.documents[0]);
+  ASSERT_TRUE(direct.ok());
+  const std::string payload = Fingerprint(*direct);
+
+  // A direct client's line, in any spelling, gets the same bytes as
+  // before canonical lines existed; the traced form echoes around them.
+  EXPECT_EQ(daemon.HandleLine(canonical), payload);
+  EXPECT_EQ(daemon.HandleLine("  " + canonical + " \t"), payload);
+  const std::string hex = obs::TraceContext::Generate().ToHex();
+  std::string traced = daemon.HandleLine(WithTraceId(canonical, hex));
+  EXPECT_EQ(traced.rfind("{\"trace_id\":\"" + hex + "\"", 0), 0u) << traced;
+  EXPECT_EQ(traced.substr(traced.size() - (payload.size() - 1)),
+            payload.substr(1));
+  // The traced canonical line answers exactly like the traced plain line.
+  std::string marked = daemon.HandleLine("{\"trace_id\":\"" + hex +
+                                         "\",\"canonical\":" + canonical +
+                                         "}");
+  EXPECT_EQ(marked.rfind("{\"trace_id\":\"" + hex + "\"", 0), 0u) << marked;
+  EXPECT_EQ(marked.substr(marked.size() - (payload.size() - 1)),
+            payload.substr(1));
+}
+
 // --------------------------------------------------------- ContentAddress --
 
 TEST(ContentAddressTest, MatchesCanonicalJsonHash) {

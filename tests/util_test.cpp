@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -13,6 +14,7 @@
 #include "util/arena.hpp"
 #include "util/color.hpp"
 #include "util/geometry.hpp"
+#include "util/json.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
@@ -585,6 +587,148 @@ TEST(StringsTest, FormatAndReplace) {
   EXPECT_EQ(util::Format("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(util::ReplaceAll("a{X}b{X}", "{X}", "!"), "a!b!");
   EXPECT_EQ(util::StripChars("..a.b..", "."), "a.b");
+}
+
+// ------------------------------------------------------------- JsonTape --
+
+TEST(JsonTapeTest, ReadsScalarsContainersAndLookups) {
+  util::JsonTape tape;
+  const std::string text =
+      " {\"n\":-12.5e1, \"s\":\"a\\\"b\\u00e9\", \"t\":true, \"f\":false,"
+      " \"z\":null, \"a\":[1, [2, 3], {\"k\":4}], \"o\":{}}\n";
+  ASSERT_TRUE(tape.Parse(text).ok());
+  util::JsonValue root = tape.root();
+  ASSERT_TRUE(root.is_object());
+  EXPECT_EQ(root.size(), 7u);
+  EXPECT_DOUBLE_EQ(root["n"].number(), -125.0);
+  EXPECT_EQ(root["s"].string(), "a\"b\xC3\xA9");
+  EXPECT_TRUE(root["t"].is_bool() && root["t"].boolean());
+  EXPECT_TRUE(root["f"].is_bool() && !root["f"].boolean());
+  EXPECT_EQ(root["z"].type(), util::JsonType::kNull);
+  EXPECT_TRUE(root["o"].is_object());
+  EXPECT_EQ(root["o"].size(), 0u);
+
+  // Items in order; the nested array is skipped over as one item.
+  std::vector<util::JsonType> types;
+  for (util::JsonValue item : root["a"]) types.push_back(item.type());
+  EXPECT_EQ(types, (std::vector<util::JsonType>{util::JsonType::kNumber,
+                                                util::JsonType::kArray,
+                                                util::JsonType::kObject}));
+  EXPECT_DOUBLE_EQ(root["a"].begin().operator*().number(), 1.0);
+
+  std::vector<std::string> keys;
+  for (auto it = root.begin(); it != root.end(); ++it) {
+    keys.emplace_back(it.key());
+  }
+  EXPECT_EQ(keys, (std::vector<std::string>{"n", "s", "t", "f", "z", "a",
+                                            "o"}));
+}
+
+TEST(JsonTapeTest, AbsentValuesChainAndFallBack) {
+  util::JsonTape tape;
+  ASSERT_TRUE(tape.Parse("{\"a\":{\"b\":\"x\"}}").ok());
+  util::JsonValue missing = tape.root()["nope"]["deeper"];
+  EXPECT_FALSE(missing.present());
+  EXPECT_FALSE(missing.is_number() || missing.is_string() ||
+               missing.is_object() || missing.is_array());
+  EXPECT_DOUBLE_EQ(missing.NumberOr(7.0), 7.0);
+  EXPECT_EQ(missing.StringOr("fb"), "fb");
+  EXPECT_EQ(missing.begin() != missing.end(), false);
+  // A lookup on a non-object is absent, as is a wrong-type read's fallback.
+  EXPECT_FALSE(tape.root()["a"]["b"]["c"].present());
+  EXPECT_DOUBLE_EQ(tape.root()["a"]["b"].NumberOr(3.0), 3.0);
+  EXPECT_EQ(tape.root()["a"]["b"].StringOr(""), "x");
+}
+
+TEST(JsonTapeTest, FailedParseLeavesNoRootAndReuseWorks) {
+  util::JsonTape tape;
+  ASSERT_TRUE(tape.Parse("[1,2,3]").ok());
+  EXPECT_EQ(tape.root().size(), 3u);
+  EXPECT_FALSE(tape.Parse("[1,2,").ok());
+  EXPECT_FALSE(tape.root().present());
+  ASSERT_TRUE(tape.Parse("\"only\"").ok());
+  EXPECT_EQ(tape.root().string(), "only");
+  tape.Shrink();
+  ASSERT_TRUE(tape.Parse("{\"k\":[true]}").ok());
+  EXPECT_TRUE(tape.root()["k"].begin().operator*().boolean());
+}
+
+TEST(JsonTapeTest, RejectsDuplicateKeysInSmallAndLargeObjects) {
+  util::JsonTape tape;
+  EXPECT_FALSE(tape.Parse("{\"a\":1,\"b\":2,\"a\":3}").ok());
+  EXPECT_TRUE(tape.Parse("{\"a\":{\"a\":1},\"b\":{\"a\":2}}").ok());
+  // Past the small-object bitset path: sorted-key comparison.
+  std::string big = "{";
+  for (int i = 0; i < 100; ++i) {
+    big += "\"k" + std::to_string(i) + "\":" + std::to_string(i) + ",";
+  }
+  EXPECT_TRUE(tape.Parse(big + "\"last\":0}").ok());
+  Status dup = tape.Parse(big + "\"k42\":0}");
+  ASSERT_FALSE(dup.ok());
+  EXPECT_NE(dup.message().find("duplicate key \"k42\""), std::string::npos)
+      << dup;
+  // Escaped and plain spellings of one key are the same key.
+  EXPECT_FALSE(tape.Parse("{\"ab\":1,\"a\\u0062\":2}").ok());
+}
+
+TEST(JsonTapeTest, DepthCapCountsEnclosingContainers) {
+  util::JsonTape tape;
+  // The innermost of 65 nested arrays sits inside 64 containers.
+  const int ok_depth = util::kMaxJsonDepth + 1;
+  EXPECT_TRUE(tape.Parse(std::string(ok_depth, '[') +
+                         std::string(ok_depth, ']'))
+                  .ok());
+  Status deep = tape.Parse(std::string(ok_depth + 1, '[') +
+                           std::string(ok_depth + 1, ']'));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_NE(deep.message().find("nesting too deep"), std::string::npos);
+}
+
+TEST(JsonTapeTest, NumbersFollowTheRfcGrammar) {
+  util::JsonTape tape;
+  auto number = [&](const std::string& text) -> std::optional<double> {
+    if (!tape.Parse(text).ok()) return std::nullopt;
+    return tape.root().number();
+  };
+  EXPECT_EQ(number("0"), 0.0);
+  EXPECT_EQ(number("-0"), 0.0);
+  EXPECT_TRUE(std::signbit(*number("-0")));
+  EXPECT_EQ(number("612"), 612.0);
+  EXPECT_EQ(number("0.5"), 0.5);
+  EXPECT_EQ(number("1E+2"), 100.0);
+  EXPECT_EQ(number("25e-1"), 2.5);
+  EXPECT_EQ(number("0.1"), 0.1);  // correctly rounded, as strtod reads it
+  EXPECT_EQ(number("123456789012345678901234567890"), 1.2345678901234568e29);
+  EXPECT_EQ(number("4.9e-324"), 4.9e-324);  // subnormal
+  // Underflow reads as (signed) zero; overflow is non-finite and rejected.
+  EXPECT_EQ(number("1.5e-400"), 0.0);
+  EXPECT_TRUE(std::signbit(*number("-1.5e-400")));
+  EXPECT_EQ(number("1e999"), std::nullopt);
+  EXPECT_EQ(number("-1e99999999999"), std::nullopt);
+  for (const char* bad : {"+612", "0612", "-0612", ".5", "-.5", "5.", "5.e3",
+                          "1e", "1e+", "-", "--1", "0x10", "1.2.3", "NaN",
+                          "Infinity", "-Infinity"}) {
+    EXPECT_EQ(number(bad), std::nullopt) << bad;
+  }
+}
+
+TEST(JsonTapeTest, OnlyRfcWhitespaceSeparatesTokens) {
+  util::JsonTape tape;
+  EXPECT_TRUE(tape.Parse(" \t\r\n[ 1 ,\t2 ]\r\n").ok());
+  EXPECT_FALSE(tape.Parse("[1,\v2]").ok());
+  EXPECT_FALSE(tape.Parse("\f[1]").ok());
+}
+
+TEST(JsonTapeTest, StringsAreValidatedUtf8WithPairedSurrogates) {
+  util::JsonTape tape;
+  ASSERT_TRUE(tape.Parse("\"\\ud83d\\ude00 \xF0\x9F\x98\x80\"").ok());
+  EXPECT_EQ(tape.root().string(), "\xF0\x9F\x98\x80 \xF0\x9F\x98\x80");
+  for (const char* bad :
+       {"\"\xC3\x28\"", "\"\xC0\xAF\"", "\"\xED\xA0\x80\"", "\"\xF4\x90\x80\x80\"",
+        "\"\\ud800\"", "\"\\udc00\"", "\"\\ud800\\u0041\"", "\"a\x01\"",
+        "\"\\x41\"", "\"\\u12\"", "\"open"}) {
+    EXPECT_FALSE(tape.Parse(bad).ok()) << bad;
+  }
 }
 
 // ------------------------------------------------------------------ Arena --
